@@ -94,10 +94,30 @@ def admissible_speeds(model: SpeedModel) -> list[float]:
 
 @dataclass(frozen=True)
 class ExactSolution:
+    """An assignment from `solve_exact`.
+
+    `nodes` counts the modes tried; `pruned_deadline` and `pruned_energy`
+    count the tries cut by each bound. `proven_optimal` is False only on
+    the incumbent a `BudgetExceededError` carries.
+    """
+
     speeds: dict[str, float]
     energy: float
     makespan: float
     nodes: int
+    pruned_deadline: int
+    pruned_energy: int
+    proven_optimal: bool
+
+
+def _latest_start(bound: float, duration: float) -> float:
+    """Largest float t whose rounded sum t + duration stays within bound."""
+    t = bound - duration
+    while t + duration > bound:
+        t = math.nextafter(t, -math.inf)
+    while math.nextafter(t, math.inf) + duration <= bound:
+        t = math.nextafter(t, math.inf)
+    return t
 
 
 def solve_exact(
@@ -107,10 +127,34 @@ def solve_exact(
 
     Tasks are fixed in topological order and speeds tried ascending, so
     the first optimum reached is the lexicographically smallest one; the
-    ties-included pruning rule then keeps exactly that incumbent. Bounds:
-    a branch dies when even finishing the suffix at the fastest mode
-    misses the deadline, or when its energy plus the suffix's floor (all
-    remaining work at the slowest mode) cannot beat the incumbent.
+    ties-included pruning rule then keeps exactly that incumbent. Every
+    mode tried counts as one node.
+
+    Energy bound: a branch dies when its energy plus the suffix's floor
+    (all remaining work at the slowest mode) cannot beat the incumbent;
+    faster modes only cost more, so the mode loop stops there.
+
+    Deadline bound: a mode is skipped when some path after the task, run
+    at the fastest mode, would finish past the deadline. One backward
+    pass before the search makes this a constant-time test. `latest[i]`
+    is the deadline minus the tail of task i (the longest path strictly
+    after it at the fastest mode), taken in floating point as the largest
+    completion of i from which every such path, summed left to right as
+    a forward pass sums it, still ends within the deadline. A node
+    compares its completion with `latest[i]` and nothing else. The plain
+    sum `completion + tail` rounds differently and, with the deadline on
+    the feasibility edge, can reject the only schedules that fit.
+
+    The test prunes exactly what a forward walk of the whole unfixed
+    suffix at the fastest mode prunes. A path that starts at an earlier
+    fixed task and runs only through unfixed tasks passed that task's own
+    test when it was fixed: its completion has not moved since, and the
+    path's tasks were unfixed then too. A path through task i starts from
+    i's completion, which already includes every fixed predecessor. Paths
+    from unfixed sources are covered by the root test. Because the sums
+    match the forward walk bit for bit, the node counts, the optimum, its
+    tie-break and the point where `BudgetExceededError` fires are the
+    ones the suffix walk gives.
     """
     speeds = admissible_speeds(model)
     order = topological_order(g)
@@ -118,43 +162,61 @@ def solve_exact(
     cost = [g.costs[tid] for tid in order]
     pos = {tid: i for i, tid in enumerate(order)}
     preds: list[list[int]] = [[] for _ in range(n)]
+    succs: list[list[int]] = [[] for _ in range(n)]
     for u, v in g.edges:
         preds[pos[v]].append(pos[u])
+        succs[pos[u]].append(pos[v])
     fastest = speeds[-1]
     slowest = speeds[0]
     limit = g.deadline * (1 + REL_TOL)
 
+    # Root test: every task at the fastest mode.
     completion = [0.0] * n
-
-    def optimistic_makespan(i: int) -> float:
-        # Completions fixed through position i; the rest run flat out.
-        comp = completion[: i + 1] + [0.0] * (n - i - 1)
-        span = max(comp[: i + 1], default=0.0)
-        for j in range(i + 1, n):
-            begin = max((comp[p] for p in preds[j]), default=0.0)
-            comp[j] = begin + cost[j] / fastest
-            if comp[j] > span:
-                span = comp[j]
-        return span
-
-    if optimistic_makespan(-1) > limit:
+    for i in range(n):
+        begin = max((completion[p] for p in preds[i]), default=0.0)
+        completion[i] = begin + cost[i] / fastest
+    if max(completion, default=0.0) > limit:
         raise InfeasibleError(
             f"even the fastest mode {fastest:g} misses deadline {g.deadline:g}"
         )
+
+    latest = [limit] * n
+    for i in range(n - 1, -1, -1):
+        for k in succs[i]:
+            latest[i] = min(latest[i], _latest_start(latest[k], cost[k] / fastest))
 
     # Energy floor of every suffix: all remaining work at the slowest mode.
     floor = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
         floor[i] = floor[i + 1] + cost[i] * slowest * slowest
 
+    # Per task and mode: (speed, energy, duration).
+    table = [
+        [(s, cost[i] * s * s, cost[i] / s) for s in speeds] for i in range(n)
+    ]
+
     best_energy = math.inf
     best_speeds: list[float] | None = None
     best_makespan = 0.0
     chosen = [0.0] * n
-    nodes = 0
+    nodes = pruned_deadline = pruned_energy = 0
+
+    def pack(proven_optimal: bool) -> ExactSolution | None:
+        if best_speeds is None:
+            return None
+        return ExactSolution(
+            speeds=dict(zip(order, best_speeds)),
+            energy=best_energy,
+            makespan=best_makespan,
+            nodes=nodes,
+            pruned_deadline=pruned_deadline,
+            pruned_energy=pruned_energy,
+            proven_optimal=proven_optimal,
+        )
 
     def descend(i: int, energy: float) -> None:
-        nonlocal nodes, best_energy, best_speeds, best_makespan
+        nonlocal nodes, pruned_deadline, pruned_energy
+        nonlocal best_energy, best_speeds, best_makespan
         if i == n:
             # Bounds guarantee feasibility and strict improvement here.
             best_energy = energy
@@ -162,39 +224,35 @@ def solve_exact(
             best_makespan = max(completion)
             return
         begin = max((completion[p] for p in preds[i]), default=0.0)
-        for s in speeds:
+        for s, work, duration in table[i]:
             nodes += 1
             if nodes > node_budget:
+                incumbent = (
+                    f"incumbent energy {best_energy:.12g}"
+                    if best_speeds is not None
+                    else "no incumbent"
+                )
                 raise BudgetExceededError(
-                    f"node budget {node_budget} exhausted",
-                    best=_pack(best_speeds, best_energy, best_makespan, nodes, order),
+                    f"node budget {node_budget} exhausted after {nodes} nodes; {incumbent}",
+                    best=pack(False),
                     nodes=nodes,
                 )
-            extended = energy + cost[i] * s * s
+            extended = energy + work
             if extended + floor[i + 1] >= best_energy:
+                pruned_energy += 1
                 break  # faster modes only cost more
-            completion[i] = begin + cost[i] / s
-            if optimistic_makespan(i) > limit:
+            completion[i] = begin + duration
+            if completion[i] > latest[i]:
+                pruned_deadline += 1
                 continue  # a faster mode may still fit
             chosen[i] = s
             descend(i + 1, extended)
 
     descend(0, 0.0)
     assert best_speeds is not None  # the all-fastest point was feasible
-    solution = _pack(best_speeds, best_energy, best_makespan, nodes, order)
+    solution = pack(True)
     log.info("exact: energy %.12g after %d nodes", best_energy, nodes)
     return solution
-
-
-def _pack(speeds, energy, makespan, nodes, order):
-    if speeds is None:
-        return None
-    return ExactSolution(
-        speeds={tid: s for tid, s in zip(order, speeds)},
-        energy=energy,
-        makespan=makespan,
-        nodes=nodes,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,71 @@ def brute_force_exact(order, costs, edges, deadline, speeds, rel_tol=1e-9):
     return best, best_combo
 
 
+def suffix_walk_search(order, costs, edges, deadline, speeds, budget, rel_tol=1e-9):
+    """The exact search with a deadline test that walks the whole unfixed
+    suffix at the fastest speed at every node.
+
+    Fixes tasks in `order`, tries speeds ascending and prunes on energy
+    (incumbent versus all remaining work at the slowest speed) and on the
+    deadline, with the same floating-point operations in the same order
+    as the package's search, so its node and prune counts must match.
+    Returns None when even the fastest speed misses the deadline, else a
+    dict with `energy`, `speeds` (None without an incumbent), `nodes`,
+    `pruned_deadline`, `pruned_energy` and `budget_hit`, the last true
+    when node `budget + 1` was reached.
+    """
+    speeds = sorted(speeds)
+    n = len(order)
+    pos = {t: i for i, t in enumerate(order)}
+    cost = [costs[t] for t in order]
+    preds = [[] for _ in range(n)]
+    for u, v in edges:
+        preds[pos[v]].append(pos[u])
+    fastest, slowest = speeds[-1], speeds[0]
+    limit = deadline * (1 + rel_tol)
+    completion = [0.0] * n
+
+    def walk(i):
+        done = completion[: i + 1] + [0.0] * (n - i - 1)
+        for j in range(i + 1, n):
+            done[j] = max((done[p] for p in preds[j]), default=0.0) + cost[j] / fastest
+        return max(done, default=0.0)
+
+    if walk(-1) > limit:
+        return None
+    floor = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        floor[i] = floor[i + 1] + cost[i] * slowest * slowest
+    out = {"energy": math.inf, "speeds": None, "nodes": 0,
+           "pruned_deadline": 0, "pruned_energy": 0, "budget_hit": False}
+    chosen = [0.0] * n
+
+    def descend(i, energy):
+        if i == n:
+            out["energy"], out["speeds"] = energy, dict(zip(order, chosen))
+            return True
+        begin = max((completion[p] for p in preds[i]), default=0.0)
+        for s in speeds:
+            out["nodes"] += 1
+            if out["nodes"] > budget:
+                return False
+            extended = energy + cost[i] * s * s
+            if extended + floor[i + 1] >= out["energy"]:
+                out["pruned_energy"] += 1
+                break
+            completion[i] = begin + cost[i] / s
+            if walk(i) > limit:
+                out["pruned_deadline"] += 1
+                continue
+            chosen[i] = s
+            if not descend(i + 1, extended):
+                return False
+        return True
+
+    out["budget_hit"] = not descend(0, 0.0)
+    return out
+
+
 def subset_sum_half(values):
     """True iff some subset of `values` sums to exactly half the total."""
     total = sum(values)

@@ -65,6 +65,9 @@ def test_solve_discrete_and_incremental(capsys, example4_path):
         "--smin", "2", "--smax", "6", "--delta", "2",
     )
     assert payload["energy"] == 128.0
+    assert payload["diagnostics"] == {
+        "nodes": 14, "pruned_deadline": 5, "pruned_energy": 4, "proven_optimal": True,
+    }
 
 
 def test_solve_vdd_with_lp_dump(capsys, example4_path, tmp_path):
@@ -152,6 +155,35 @@ def test_compare_table(capsys, example4_path):
     )
     assert code == 0
     assert "model" in out and "discrete" in out
+
+
+def test_compare_skips_the_continuous_check_below_the_top_mode(capsys, tmp_path):
+    # With the cap under the top mode, mode hopping may run faster than
+    # the continuous model allows, so vdd (400) beats continuous (406.4)
+    # and that is no ordering violation.
+    fork = {
+        "tasks": [{"id": t, "cost": c} for t, c in
+                  [("R", 4.0), ("A", 6.0), ("B", 6.0), ("C", 6.0)]],
+        "precedence": [["R", "A"], ["R", "B"], ["R", "C"]],
+        "allocation": [
+            {"processor": 0, "order": ["R", "A"]},
+            {"processor": 1, "order": ["B"]},
+            {"processor": 2, "order": ["C"]},
+        ],
+        "deadline": 2.3,
+    }
+    path = write_instance(tmp_path, fork)
+    payload = run_json(capsys, "compare", path, "--smax", "4.5", "--modes", "2,4,6")
+    energies = {r["model"]: r["energy"] for r in payload["rows"]}
+    assert energies["vdd"] < energies["continuous"]
+    assert payload["ordering_ok"] is True
+    assert len(payload["ordering_skipped"]) == 1
+    assert "4.5" in payload["ordering_skipped"][0]
+
+    # at the top mode the models nest again and the check runs
+    payload = run_json(capsys, "compare", path, "--smax", "6", "--modes", "2,4,6")
+    assert payload["ordering_ok"] is True
+    assert payload["ordering_skipped"] == []
 
 
 def test_compare_marks_skipped_rows(capsys, example4_path):
@@ -309,6 +341,7 @@ def test_infeasible_and_budget_exits(capsys, tmp_path, example4_path):
     code, _, err = run(capsys, "solve", example4_path, "--model", "discrete",
                        "--modes", "2,5,6", "--node-budget", "2")
     assert code == 3
+    assert "after 3 nodes" in err and "no incumbent" in err
 
 
 def test_log_env_var(capsys, example4_path, monkeypatch):

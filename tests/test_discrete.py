@@ -91,6 +91,22 @@ def test_node_budget(example4):
         assert best.energy >= 170.0  # incumbent can only be worse than OPT
 
 
+def test_node_budget_message_names_nodes_and_incumbent(example4):
+    model = rc.DiscreteModel((2.0, 5.0, 6.0))
+    with pytest.raises(rc.BudgetExceededError) as info:
+        rc.solve_exact(example4, model, node_budget=3)
+    assert info.value.best is None
+    assert str(info.value) == "node budget 3 exhausted after 4 nodes; no incumbent"
+
+    with pytest.raises(rc.BudgetExceededError) as info:
+        rc.solve_exact(example4, model, node_budget=10)
+    best = info.value.best
+    assert info.value.nodes == 11
+    assert best.energy == 179.0
+    assert best.proven_optimal is False
+    assert str(info.value) == "node budget 10 exhausted after 11 nodes; incumbent energy 179"
+
+
 def test_geometric_modes():
     assert rc.geometric_modes(2.0, 6.0, 2) == pytest.approx([2.0, 3.0, 4.5])
     assert rc.geometric_modes(2.0, 6.0, 1) == pytest.approx([2.0, 4.0])
@@ -208,3 +224,123 @@ def test_gen_2partition_separates_yes_from_no():
 def test_exact_solution_reports_search_size(example4):
     sol = rc.solve_exact(example4, rc.DiscreteModel((2.0, 5.0, 6.0)))
     assert sol.nodes > 0
+    assert sol.proven_optimal is True
+    assert sol.pruned_deadline + sol.pruned_energy < sol.nodes
+
+
+@pytest.mark.parametrize(
+    "make, nodes",
+    [
+        (lambda g: (g, rc.DiscreteModel((2.0, 5.0, 6.0))), 32),
+        (lambda g: (g, rc.IncrementalModel(2.0, 6.0, 2.0)), 14),
+        (lambda g: rc.gen_2partition([1, 2, 3, 4])[:2], 26),
+        (
+            lambda g: rc.gen_2partition(
+                [20, 9, 24, 12, 26, 23, 27, 24, 21, 30, 17, 1, 27, 15]
+            )[:2],
+            10752,
+        ),
+    ],
+    ids=["example4-discrete", "example4-incremental", "2partition-4", "2partition-14"],
+)
+def test_exact_node_counts_are_pinned(example4, make, nodes):
+    # The search visits the same nodes as the original suffix-walk
+    # deadline test; a changed count means a bound changed.
+    g, model = make(example4)
+    assert rc.solve_exact(g, model).nodes == nodes
+
+
+def _feasibility_edge(cp):
+    """Smallest deadline D whose tolerance-widened limit D*(1 + 1e-9)
+    still covers the critical path cp."""
+    d = cp / (1 + 1e-9)
+    while d * (1 + 1e-9) < cp:
+        d = math.nextafter(d, math.inf)
+    while math.nextafter(d, 0.0) * (1 + 1e-9) >= cp:
+        d = math.nextafter(d, 0.0)
+    return d
+
+
+def test_exact_matches_brute_force_at_the_feasibility_edge(build):
+    # At the edge only schedules with every critical-path task at the top
+    # speed fit, so a deadline test that rounds differently from the
+    # forward completion sums either loses them or admits a miss.
+    rng = random.Random(97)
+    for trial in range(40):
+        n = rng.randint(2, 8)
+        tasks, prec, alloc = support.random_instance(rng, n, n_proc=rng.randint(2, 3))
+        edges = support.all_edges(prec, alloc)
+        if trial % 2:
+            count = 3 if n <= 6 else 2
+            speeds = sorted({round(rng.uniform(0.8, 6.0), 3) for _ in range(count)})
+            model = rc.DiscreteModel(tuple(speeds))
+        else:
+            s_min = round(rng.uniform(0.5, 2.0), 3)
+            delta = round(rng.uniform(0.3, 2.0), 3)
+            model = rc.IncrementalModel(s_min, s_min + (2 if n <= 6 else 1) * delta, delta)
+            speeds = rc.admissible_speeds(model)
+        cp = support.ref_makespan(edges, {i: w / speeds[-1] for i, w in tasks})
+        edge = _feasibility_edge(cp)
+        for deadline in (cp, edge):
+            g = build(tasks, prec, [q for _, q in alloc], deadline)
+            expected = support.brute_force_exact(
+                rc.topological_order(g), dict(tasks), g.edges, deadline, speeds
+            )
+            sol = rc.solve_exact(g, model)
+            assert sol.energy == pytest.approx(expected[0], rel=1e-12)
+            assert sol.speeds == expected[1]
+        below = math.nextafter(edge, 0.0)
+        g = build(tasks, prec, [q for _, q in alloc], below)
+        assert support.brute_force_exact(
+            rc.topological_order(g), dict(tasks), g.edges, below, speeds
+        ) is None
+        with pytest.raises(rc.InfeasibleError):
+            rc.solve_exact(g, model)
+
+
+def test_exact_search_prunes_like_the_suffix_walk(build):
+    # The constant-time deadline test must make every decision a walk of
+    # the whole unfixed suffix makes: same optimum, nodes, prunes and
+    # budget point, on deadlines at, on and below the feasibility edge.
+    rng = random.Random(101)
+    for trial in range(150):
+        n = rng.randint(1, 9)
+        tasks, prec, alloc = support.random_instance(rng, n, n_proc=rng.randint(1, 3))
+        edges = support.all_edges(prec, alloc)
+        if trial % 2:
+            speeds = sorted({round(rng.uniform(0.5, 7.0), 3) for _ in range(rng.randint(1, 4))})
+            model = rc.DiscreteModel(tuple(speeds))
+        else:
+            s_min = round(rng.uniform(0.5, 2.0), 3)
+            delta = round(rng.uniform(0.3, 2.0), 3)
+            model = rc.IncrementalModel(s_min, s_min + rng.randint(0, 3) * delta, delta)
+            speeds = rc.admissible_speeds(model)
+        cp = support.ref_makespan(edges, {i: w / speeds[-1] for i, w in tasks})
+        edge = _feasibility_edge(cp)
+        deadline = rng.choice(
+            [cp, edge, math.nextafter(edge, 0.0), cp * rng.uniform(1.0, 2.5)]
+        )
+        budget = rng.choice([10**6, rng.randint(1, 100)])
+        g = build(tasks, prec, [q for _, q in alloc], deadline)
+        ref = support.suffix_walk_search(
+            rc.topological_order(g), dict(tasks), g.edges, deadline, speeds, budget
+        )
+        if ref is None:
+            with pytest.raises(rc.InfeasibleError):
+                rc.solve_exact(g, model, node_budget=budget)
+            continue
+        if ref["budget_hit"]:
+            with pytest.raises(rc.BudgetExceededError) as info:
+                rc.solve_exact(g, model, node_budget=budget)
+            assert info.value.nodes == ref["nodes"]
+            sol = info.value.best
+            if ref["speeds"] is None:
+                assert sol is None
+                continue
+        else:
+            sol = rc.solve_exact(g, model, node_budget=budget)
+        assert sol.speeds == ref["speeds"]
+        assert sol.energy == ref["energy"]
+        assert (sol.nodes, sol.pruned_deadline, sol.pruned_energy) == (
+            ref["nodes"], ref["pruned_deadline"], ref["pruned_energy"]
+        )
