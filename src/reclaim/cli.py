@@ -35,16 +35,16 @@ from .errors import (
     WorkDeficitError,
 )
 from .graph import (
-    ConstantSpeed,
     ExecutionGraph,
     Schedule,
+    SolveReport,
     asap_times,
+    constant_schedule,
     evaluate_schedule,
     load_instance,
     load_schedule,
     profile_duration,
     schedule_to_obj,
-    topological_order,
     with_asap_starts,
 )
 from .vdd import VddModel, build_lp, format_lp, solve_vdd
@@ -152,7 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=_modes_arg)
     p.add_argument("--node-budget", type=int, default=disc.DEFAULT_NODE_BUDGET)
     common(p)
-    p.set_defaults(handler=cmd_compare)
+    # Each row runs the solve path with detection on and no LP dump.
+    p.set_defaults(handler=cmd_compare, structure=None, fallback=None, dump_lp=None)
 
     p = sub.add_parser("approx", help="certified rounding scheme for finite-speed models")
     p.add_argument("instance")
@@ -184,13 +185,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_json(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2 if args.pretty else None)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _write(text: str, path: str | None) -> None:
+    """Write one output to ``path``, or to stdout when there is none."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit_json(payload: dict, args) -> None:
+    _write(json.dumps(payload, indent=2 if args.pretty else None), args.out)
 
 
 def _require(args, names: list[str], model: str) -> None:
@@ -199,8 +204,10 @@ def _require(args, names: list[str], model: str) -> None:
         raise ValueError(f"model {model!r} requires {', '.join(missing)}")
 
 
-def _schedule_payload(g: ExecutionGraph, schedule: Schedule, report) -> dict:
+def _payload(g: ExecutionGraph, schedule: Schedule, report: SolveReport, **head) -> dict:
+    """The report of one schedule: ``head`` first, then the shared fields."""
     return {
+        **head,
         "energy": report.energy,
         "makespan": report.makespan,
         "feasible": report.feasible,
@@ -213,116 +220,77 @@ def _schedule_payload(g: ExecutionGraph, schedule: Schedule, report) -> dict:
 
 def cmd_solve(args) -> int:
     g = load_instance(args.instance)
-    if args.model == "continuous":
-        payload = _solve_continuous(g, args)
-    elif args.model == "vdd":
-        _require(args, ["modes"], "vdd")
-        model = VddModel(args.modes)
-        if args.dump_lp:
-            with open(args.dump_lp, "w", encoding="utf-8") as fh:
-                fh.write(format_lp(build_lp(g, model)))
-        schedule, report = solve_vdd(g, model)
-        payload = _schedule_payload(g, schedule, report)
-    elif args.model == "discrete":
-        _require(args, ["modes"], "discrete")
-        payload = _solve_exact(g, disc.DiscreteModel(args.modes), args)
-    else:
-        _require(args, ["smin", "smax", "delta"], "incremental")
-        payload = _solve_exact(
-            g, disc.IncrementalModel(args.smin, args.smax, args.delta), args
-        )
-    payload = {"command": "solve", "model": args.model, **payload}
-    _emit_json(payload, args)
+    shape, schedule, report = _solve(g, args, args.model)
+    head = {"command": "solve", "model": args.model}
+    if shape is not None:
+        head["structure"] = shape
+    _emit_json(_payload(g, schedule, report, **head), args)
     return EXIT_OK
 
 
-def _solve_exact(g: ExecutionGraph, model, args) -> dict:
-    solution = disc.solve_exact(g, model, node_budget=args.node_budget)
-    schedule = Schedule(
-        profiles={tid: ConstantSpeed(s) for tid, s in solution.speeds.items()}
-    )
-    schedule = with_asap_starts(g, schedule)
-    return {
-        "energy": solution.energy,
-        "makespan": solution.makespan,
-        "feasible": True,
-        "deadline": g.deadline,
-        "speeds": dict(sorted(solution.speeds.items())),
-        "schedule": schedule_to_obj(schedule),
-        "diagnostics": {
-            "nodes": solution.nodes,
-            "pruned_deadline": solution.pruned_deadline,
-            "pruned_energy": solution.pruned_energy,
-            "proven_optimal": solution.proven_optimal,
-        },
-    }
+def _solve(g: ExecutionGraph, args, model: str) -> tuple[str | None, Schedule, SolveReport]:
+    """Solve ``g`` under one model with the parameters in ``args``.
+
+    Returns the shape the continuous model solved by (None for the other
+    models), the schedule and its report.
+    """
+    if model == "continuous":
+        return _solve_continuous(g, args)
+    if model == "vdd":
+        _require(args, ["modes"], "vdd")
+        vdd_model = VddModel(args.modes)
+        if args.dump_lp:
+            with open(args.dump_lp, "w", encoding="utf-8") as fh:
+                fh.write(format_lp(build_lp(g, vdd_model)))
+        return None, *solve_vdd(g, vdd_model)
+    solution = disc.solve_exact(g, _finite_model(args, model), node_budget=args.node_budget)
+    counters = ("nodes", "pruned_deadline", "pruned_energy", "proven_optimal")
+    diagnostics = {key: getattr(solution, key) for key in counters}
+    return None, *constant_schedule(g, solution.speeds, diagnostics)
 
 
-def _solve_continuous(g: ExecutionGraph, args) -> dict:
+def _finite_model(args, model: str):
+    if model == "discrete":
+        _require(args, ["modes"], "discrete")
+        return disc.DiscreteModel(args.modes)
+    _require(args, ["smin", "smax", "delta"], "incremental")
+    return disc.IncrementalModel(args.smin, args.smax, args.delta)
+
+
+def _solve_continuous(g: ExecutionGraph, args) -> tuple[str, Schedule, SolveReport]:
     s_max = args.smax if args.smax is not None else math.inf
-    shape = args.structure or struct.detect_structure(g)
-    solver = shape
-    if shape == "spg" and math.isfinite(s_max):
-        if args.structure == "spg" and args.fallback != "dag":
+    capped = math.isfinite(s_max)
+    if args.structure == "spg" and capped:
+        if args.fallback != "dag":
             raise UnsupportedError(
                 "the series-parallel closed form needs an uncapped model; "
                 "pass --fallback dag (or --structure dag) for a capped solve"
             )
-        solver = "dag"  # detected shape stays in the report
+        shape, form = "spg", None
+    else:
+        shape, form = struct.recognise(g, args.structure)
+    if shape == "dag" or (shape == "spg" and capped):
+        # The detected shape stays in the report.
+        return shape, *cont.solve_dag(g, s_max)
 
-    if solver == "independent":
-        if g.edges:
-            raise ValueError("instance is not an independent task set")
-        order = topological_order(g)
-        speeds, energy = cont.solve_independent([g.costs[t] for t in order], g.deadline, s_max)
-        per_task = dict(zip(order, speeds))
-    elif solver == "chain":
-        order = struct.as_chain(g)
-        if order is None:
-            raise ValueError("instance is not a chain")
-        speed, energy = cont.solve_chain([g.costs[t] for t in order], g.deadline, s_max)
-        per_task = {tid: speed for tid in order}
-    elif solver == "fork":
-        shape_info = struct.as_fork(g)
-        if shape_info is None:
-            raise ValueError("instance is not a fork or join")
-        center, branches = shape_info
+    D = g.deadline
+    if shape == "independent":
+        speeds, energy = cont.solve_independent([g.costs[t] for t in form], D, s_max)
+        per_task = dict(zip(form, speeds))
+    elif shape == "chain":
+        speed, energy = cont.solve_chain([g.costs[t] for t in form], D, s_max)
+        per_task = dict.fromkeys(form, speed)
+    elif shape == "fork":
+        center, branches = form
         speeds, energy = cont.solve_fork_join(
-            g.costs[center], [g.costs[b] for b in branches], g.deadline, s_max
+            g.costs[center], [g.costs[b] for b in branches], D, s_max
         )
         per_task = {center: speeds[0], **dict(zip(branches, speeds[1:]))}
-    elif solver == "tree":
-        root = struct.as_tree(g)
-        if root is None:
-            raise ValueError("instance is not a tree")
-        energy, per_task = cont.solve_tree(root, g.deadline, s_max)
-    elif solver == "spg":
-        node = struct.as_spg(g)
-        if node is None:
-            raise ValueError("instance is not series-parallel")
-        energy = cont.solve_spg(node, g.deadline, s_max)
-        return {
-            "energy": energy,
-            "makespan": g.deadline,
-            "feasible": True,
-            "deadline": g.deadline,
-            "structure": shape,
-            "diagnostics": {"note": "closed form prices the graph without a schedule"},
-        }
+    elif shape == "tree":
+        energy, per_task = cont.solve_tree(form, D, s_max)
     else:
-        schedule, report = cont.solve_dag(g, s_max)
-        payload = _schedule_payload(g, schedule, report)
-        payload["structure"] = shape
-        return payload
-
-    schedule = with_asap_starts(
-        g, Schedule(profiles={tid: ConstantSpeed(s) for tid, s in per_task.items()})
-    )
-    report = evaluate_schedule(g, schedule)
-    payload = _schedule_payload(g, schedule, report)
-    payload["structure"] = shape
-    payload["diagnostics"] = {"closed_form_energy": energy}
-    return payload
+        energy, per_task = cont.spg_speeds(form, D)
+    return shape, *constant_schedule(g, per_task, {"closed_form_energy": energy})
 
 
 def cmd_validate(args) -> int:
@@ -350,36 +318,27 @@ def cmd_compare(args) -> int:
     g = load_instance(args.instance)
     rows: list[dict] = []
 
-    def run(model_name: str, runner) -> None:
+    def run(model: str) -> None:
         try:
-            energy, note = runner()
-            rows.append({"model": model_name, "energy": energy, "status": note or "ok"})
+            energy = _solve(g, args, model)[2].energy
+            rows.append({"model": model, "energy": energy, "status": "ok"})
         except (InfeasibleError, LpInfeasibleError) as exc:
-            rows.append({"model": model_name, "energy": None, "status": f"infeasible: {exc}"})
+            rows.append({"model": model, "energy": None, "status": f"infeasible: {exc}"})
         except BudgetExceededError as exc:
             energy = exc.best.energy if exc.best is not None else None
-            rows.append({"model": model_name, "energy": energy, "status": "incumbent"})
+            rows.append({"model": model, "energy": energy, "status": "incumbent"})
         except (ValueError, ReclaimError) as exc:
-            rows.append({"model": model_name, "energy": None, "status": f"error: {exc}"})
+            rows.append({"model": model, "energy": None, "status": f"error: {exc}"})
 
-    s_max = args.smax if args.smax is not None else math.inf
-    run("continuous", lambda: (cont.solve_dag(g, s_max)[1].energy, None))
+    run("continuous")
     if args.modes is not None:
-        run("vdd", lambda: (solve_vdd(g, VddModel(args.modes))[1].energy, None))
-        run("discrete", lambda: (
-            disc.solve_exact(g, disc.DiscreteModel(args.modes), args.node_budget).energy,
-            None,
-        ))
+        run("vdd")
+        run("discrete")
     else:
         rows.append({"model": "vdd", "energy": None, "status": "skipped: no --modes"})
         rows.append({"model": "discrete", "energy": None, "status": "skipped: no --modes"})
     if args.smin is not None and args.delta is not None and args.smax is not None:
-        run("incremental", lambda: (
-            disc.solve_exact(
-                g, disc.IncrementalModel(args.smin, args.smax, args.delta), args.node_budget
-            ).energy,
-            None,
-        ))
+        run("incremental")
     else:
         rows.append({"model": "incremental", "energy": None,
                      "status": "skipped: needs --smin --smax --delta"})
@@ -414,12 +373,7 @@ def cmd_compare(args) -> int:
             shown = f"{row['energy']:.6f}" if row["energy"] is not None else "-"
             lines.append(f"{row['model']:<{width}}  {shown:>16}  {row['status']}")
         lines.extend(f"skipped check: {note}" for note in skipped)
-        text = "\n".join(lines)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write("\n".join(lines), args.out)
     else:
         _emit_json({
             "command": "compare",
@@ -438,28 +392,13 @@ def cmd_approx(args) -> int:
     g = load_instance(args.instance)
     if args.K < 1:
         raise ValueError(f"--K must be at least 1, got {args.K}")
-    if args.model == "incremental":
-        _require(args, ["smin", "smax", "delta"], "incremental")
-        result = disc.approx_incremental(
-            g, disc.IncrementalModel(args.smin, args.smax, args.delta), args.K
-        )
-    else:
-        _require(args, ["modes"], "discrete")
-        result = disc.approx_discrete(g, disc.DiscreteModel(args.modes), args.K)
-    payload = {
-        "command": "approx",
-        "model": args.model,
-        "K": args.K,
-        "energy": result.report.energy,
-        "bound_factor": result.bound_factor,
-        "certified_upper": result.certified_upper,
-        "makespan": result.report.makespan,
-        "feasible": result.report.feasible,
-        "deadline": g.deadline,
-        "speeds": dict(sorted(result.report.speeds.items())),
-        "schedule": schedule_to_obj(result.schedule),
-        "diagnostics": result.report.diagnostics,
-    }
+    approx = disc.approx_incremental if args.model == "incremental" else disc.approx_discrete
+    result = approx(g, _finite_model(args, args.model), args.K)
+    payload = _payload(
+        g, result.schedule, result.report,
+        command="approx", model=args.model, K=args.K,
+        bound_factor=result.bound_factor, certified_upper=result.certified_upper,
+    )
     _emit_json(payload, args)
     return EXIT_OK
 
@@ -485,13 +424,11 @@ def cmd_gen2p(args) -> int:
         "modes": list(model.modes),
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(instance, indent=2) + "\n")
+        _write(json.dumps(instance, indent=2), args.out)
         payload["out"] = args.out
-        print(json.dumps(payload, indent=2 if args.pretty else None))
     else:
         payload["instance"] = instance
-        print(json.dumps(payload, indent=2 if args.pretty else None))
+    _write(json.dumps(payload, indent=2 if args.pretty else None), None)
     return EXIT_OK
 
 
@@ -505,10 +442,5 @@ def cmd_power_profile(args) -> int:
     for t, level in zip(profile.times, profile.levels):
         lines.append(f"{t:.12g},{level:.12g}")
     lines.append(f"{profile.times[-1]:.12g},{profile.levels[-1]:.12g}")
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write("\n".join(lines), args.out)
     return EXIT_OK

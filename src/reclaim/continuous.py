@@ -25,7 +25,7 @@ from .graph import (
     Schedule,
     SolveReport,
     Task,
-    asap_times,
+    constant_schedule,
     topological_order,
 )
 
@@ -137,16 +137,21 @@ def _postorder(root: TreeNode) -> list[TreeNode]:
     return out
 
 
-def tree_eq_cost(root: TreeNode) -> float:
-    """Equivalent cost: leaves keep their own, a parent adds its cost to
-    the cube-root of the sum of cubed child costs."""
+def _tree_eq_costs(root: TreeNode) -> dict[int, float]:
+    # Equivalent cost of every node, keyed by id(node).
     eq: dict[int, float] = {}
     for node in _postorder(root):
         if node.children:
             eq[id(node)] = _cbrt(sum(eq[id(c)] ** 3 for c in node.children)) + node.cost
         else:
             eq[id(node)] = node.cost
-    return eq[id(root)]
+    return eq
+
+
+def tree_eq_cost(root: TreeNode) -> float:
+    """Equivalent cost: leaves keep their own, a parent adds its cost to
+    the cube-root of the sum of cubed child costs."""
+    return _tree_eq_costs(root)[id(root)]
 
 
 def solve_tree(
@@ -161,13 +166,7 @@ def solve_tree(
     window even at s_max.
     """
     _check_window(deadline)
-    eq: dict[int, float] = {}
-    for node in _postorder(root):
-        if node.children:
-            eq[id(node)] = _cbrt(sum(eq[id(c)] ** 3 for c in node.children)) + node.cost
-        else:
-            eq[id(node)] = node.cost
-
+    eq = _tree_eq_costs(root)
     speeds: dict[str, float] = {}
     energy = 0.0
     stack: list[tuple[TreeNode, float]] = [(root, deadline)]
@@ -254,10 +253,11 @@ def spg_cost(root: SpgNode) -> float:
     task counted once) and by cube-root-of-cube-sums in parallel; the
     endpoints' own costs are added back once at the top.
     """
-    return root.source.cost + _inner_cost(root) + root.sink.cost
+    return root.source.cost + _inner_costs(root)[id(root)] + root.sink.cost
 
 
-def _inner_cost(root: SpgNode) -> float:
+def _inner_costs(root: SpgNode) -> dict[int, float]:
+    # Interior cost of every composition node, keyed by id(node).
     # Post-order over the composition tree, iterative for depth safety.
     out: list[SpgNode] = []
     stack: list[SpgNode] = [root]
@@ -277,7 +277,7 @@ def _inner_cost(root: SpgNode) -> float:
             )
         else:
             inner[id(node)] = _cbrt(inner[id(node.left)] ** 3 + inner[id(node.right)] ** 3)
-    return inner[id(root)]
+    return inner
 
 
 def solve_spg(root: SpgNode, deadline: float, s_max: float = math.inf) -> float:
@@ -287,8 +287,35 @@ def solve_spg(root: SpgNode, deadline: float, s_max: float = math.inf) -> float:
             "series-parallel closed form requires an uncapped speed model; "
             "route the instance to the general DAG solver instead"
         )
+    return spg_speeds(root, deadline)[0]
+
+
+def spg_speeds(root: SpgNode, deadline: float) -> tuple[float, dict[str, float]]:
+    """Optimal uncapped energy and per-task speeds of a series-parallel graph.
+
+    The source and sink run at spg_cost / D, and the interior gets the
+    rest of the window. Windows then split top-down: a series node with
+    window d runs its junction task at inner / d and gives each operand
+    the time its own inner cost takes at that speed; a parallel node
+    gives both operands the whole window d.
+    """
     _check_window(deadline)
-    return spg_cost(root) ** 3 / deadline**2
+    inner = _inner_costs(root)
+    total = root.source.cost + inner[id(root)] + root.sink.cost
+    outer = total / deadline
+    speeds = {root.source.id: outer, root.sink.id: outer}
+    stack: list[tuple[SpgNode, float]] = [(root, deadline * inner[id(root)] / total)]
+    while stack:
+        node, window = stack.pop()
+        if isinstance(node, Series):
+            s = inner[id(node)] / window
+            speeds[node.left.sink.id] = s
+            stack.append((node.left, inner[id(node.left)] / s))
+            stack.append((node.right, inner[id(node.right)] / s))
+        elif isinstance(node, Parallel):
+            stack.append((node.left, window))
+            stack.append((node.right, window))
+    return total**3 / deadline**2, speeds
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +346,7 @@ def solve_dag(g: ExecutionGraph, s_max: float = math.inf) -> tuple[Schedule, Sol
         s = w[0] / D
         if s > s_max * (1 + REL_TOL):
             raise InfeasibleError(f"cost {w[0]} needs speed {s:g} > cap {s_max:g}")
-        return _emit(g, order, np.array([min(s, s_max)]), {"iterations": 0, "residual": 0.0})
+        return constant_schedule(g, {order[0]: min(s, s_max)}, {"iterations": 0, "residual": 0.0})
 
     idx = {tid: i for i, tid in enumerate(order)}
     edges = [(idx[u], idx[v]) for u, v in sorted(g.edges)]
@@ -340,10 +367,9 @@ def solve_dag(g: ExecutionGraph, s_max: float = math.inf) -> tuple[Schedule, Sol
         if cp >= D * (1 - 1e-9):
             # The window is exactly the all-cap critical path: no interior
             # exists, and every task on the path is pinned anyway.
-            return _emit(
+            return constant_schedule(
                 g,
-                order,
-                np.full(n, s_max),
+                dict.fromkeys(order, s_max),
                 {"iterations": 0, "residual": 0.0, "pinned": True},
             )
 
@@ -415,7 +441,7 @@ def solve_dag(g: ExecutionGraph, s_max: float = math.inf) -> tuple[Schedule, Sol
         iterations,
         residual,
     )
-    return _emit(g, order, speeds, diagnostics)
+    return constant_schedule(g, dict(zip(order, speeds)), diagnostics)
 
 
 def _stationarity_residual(x, t_barrier, A, rhs, grad_f) -> float:
@@ -546,23 +572,6 @@ def _depths(n, edges):
         if preds[i]:
             depth[i] = max(depth[u] for u in preds[i]) + 1.0
     return depth
-
-
-def _emit(g, order, speeds, diagnostics):
-    profile = {tid: ConstantSpeed(float(s)) for tid, s in zip(order, speeds)}
-    durations = {tid: g.costs[tid] / profile[tid].speed for tid in order}
-    starts, completion = asap_times(g, durations)
-    makespan = max(completion.values())
-    energy = sum(g.costs[tid] * profile[tid].speed ** 2 for tid in order)
-    schedule = Schedule(profiles=profile, starts=starts)
-    report = SolveReport(
-        energy=energy,
-        makespan=makespan,
-        feasible=makespan <= g.deadline * (1 + REL_TOL),
-        speeds={tid: profile[tid].speed for tid in order},
-        diagnostics=diagnostics,
-    )
-    return schedule, report
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,12 @@ from typing import Sequence, Union
 from .errors import BudgetExceededError, InfeasibleError, RangeError
 from .graph import (
     REL_TOL,
-    ConstantSpeed,
     ExecutionGraph,
     Schedule,
     SolveReport,
     Task,
-    asap_times,
     build_execution_graph,
-    evaluate_schedule,
+    constant_schedule,
     topological_order,
 )
 from .vdd import VddModel, average_speeds, solve_vdd
@@ -293,7 +291,7 @@ def _approx(g: ExecutionGraph, grid: list[float], K: int, bound_factor: float, l
     geo = geometric_modes(lowest, grid[-1], K)
     vdd_schedule, vdd_report = solve_vdd(g, VddModel(tuple(geo)))
     averages = average_speeds(vdd_schedule, g)
-    profiles: dict[str, ConstantSpeed] = {}
+    speeds: dict[str, float] = {}
     for tid, avg in averages.items():
         snapped = _round_up(avg, grid)
         if snapped is None:
@@ -301,26 +299,14 @@ def _approx(g: ExecutionGraph, grid: list[float], K: int, bound_factor: float, l
                 f"task {tid!r} needs average speed {avg:g}, above the top "
                 f"admissible speed {grid[-1]:g}"
             )
-        profiles[tid] = ConstantSpeed(snapped)
-    durations = {tid: g.costs[tid] / p.speed for tid, p in profiles.items()}
-    starts, _ = asap_times(g, durations)
-    schedule = Schedule(profiles=profiles, starts=starts)
-    evaluated = evaluate_schedule(g, schedule)
+        speeds[tid] = snapped
+    schedule, report = constant_schedule(
+        g, speeds, {"vdd_energy": vdd_report.energy, "geometric_modes": geo, "K": K}
+    )
     # Rounding up never stretches a task, so the mode-hopping feasibility
     # carries over; the certificate needs no knowledge of the optimum.
     per_task = bound_factor / (1.0 + 1.0 / K) ** 2
     certified = per_task * vdd_report.energy
-    report = SolveReport(
-        energy=evaluated.energy,
-        makespan=evaluated.makespan,
-        feasible=evaluated.feasible,
-        speeds=evaluated.speeds,
-        diagnostics={
-            "vdd_energy": vdd_report.energy,
-            "geometric_modes": geo,
-            "K": K,
-        },
-    )
     return ApproxResult(
         schedule=schedule,
         report=report,

@@ -96,6 +96,31 @@ class ExecutionGraph:
             succ[u].append(v)
         return {tid: tuple(ss) for tid, ss in succ.items()}
 
+    @cached_property
+    def topo_order(self) -> tuple[str, ...]:
+        """Kahn's algorithm with a heap, so ties always break by task id.
+
+        Raises CycleError when the edges contain a cycle; a graph from
+        `build_execution_graph` has already passed that test.
+        """
+        indeg = {t.id: 0 for t in self.tasks}
+        for _, v in self.edges:
+            indeg[v] += 1
+        ready = [tid for tid, d in indeg.items() if d == 0]
+        heapq.heapify(ready)
+        order: list[str] = []
+        while ready:
+            tid = heapq.heappop(ready)
+            order.append(tid)
+            for nxt in self.successors[tid]:
+                indeg[nxt] -= 1
+                if indeg[nxt] == 0:
+                    heapq.heappush(ready, nxt)
+        if len(order) != len(self.tasks):
+            stuck = sorted(tid for tid, d in indeg.items() if d > 0)
+            raise CycleError(f"precedence and processor order conflict around {stuck}")
+        return tuple(order)
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -159,29 +184,13 @@ def build_execution_graph(
         raise CoverageError(f"tasks never allocated: {missing}")
 
     g = ExecutionGraph(tasks=tasks, edges=frozenset(edges), deadline=float(deadline))
-    topological_order(g)  # raises CycleError on any contradiction
+    g.topo_order  # raises CycleError on any contradiction
     return g
 
 
 def topological_order(g: ExecutionGraph) -> list[str]:
-    """Kahn's algorithm with a heap, so ties always break by task id."""
-    indeg = {t.id: 0 for t in g.tasks}
-    for _, v in g.edges:
-        indeg[v] += 1
-    ready = [tid for tid, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        tid = heapq.heappop(ready)
-        order.append(tid)
-        for nxt in g.successors[tid]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                heapq.heappush(ready, nxt)
-    if len(order) != len(g.tasks):
-        stuck = sorted(tid for tid, d in indeg.items() if d > 0)
-        raise CycleError(f"precedence and processor order conflict around {stuck}")
-    return order
+    """Task ids in the graph's topological order (ties by id), as a fresh list."""
+    return list(g.topo_order)
 
 
 def profile_duration(profile: Profile, cost: float) -> float:
@@ -209,7 +218,7 @@ def asap_times(
     """Earliest start and completion per task under the given durations."""
     starts: dict[str, float] = {}
     completion: dict[str, float] = {}
-    for tid in topological_order(g):
+    for tid in g.topo_order:
         begin = 0.0
         for p in g.predecessors[tid]:
             if completion[p] > begin:
@@ -229,7 +238,7 @@ def evaluate_schedule(g: ExecutionGraph, schedule: Schedule) -> SolveReport:
     durations: dict[str, float] = {}
     speeds: dict[str, float] = {}
     energy = 0.0
-    for tid in topological_order(g):
+    for tid in g.topo_order:
         try:
             profile = schedule.profiles[tid]
         except KeyError:
@@ -252,6 +261,32 @@ def evaluate_schedule(g: ExecutionGraph, schedule: Schedule) -> SolveReport:
         feasible=makespan <= g.deadline * (1 + REL_TOL),
         speeds=speeds,
     )
+
+
+def constant_schedule(
+    g: ExecutionGraph, speeds: dict[str, float], diagnostics: dict
+) -> tuple[Schedule, SolveReport]:
+    """Schedule and report for one constant speed per task, in one ASAP pass.
+
+    Energy is priced as `evaluate_schedule` prices a constant profile
+    (cost * s * s, summed in topological order), so energy, makespan and
+    speeds equal what `evaluate_schedule` reports for the same schedule.
+    """
+    profiles = {tid: ConstantSpeed(float(speeds[tid])) for tid in g.topo_order}
+    durations = {tid: g.costs[tid] / p.speed for tid, p in profiles.items()}
+    starts, completion = asap_times(g, durations)
+    energy = 0.0
+    for tid, p in profiles.items():
+        energy += g.costs[tid] * p.speed * p.speed
+    makespan = max(completion.values())
+    report = SolveReport(
+        energy=energy,
+        makespan=makespan,
+        feasible=makespan <= g.deadline * (1 + REL_TOL),
+        speeds={tid: p.speed for tid, p in profiles.items()},
+        diagnostics=diagnostics,
+    )
+    return Schedule(profiles=profiles, starts=starts), report
 
 
 def with_asap_starts(g: ExecutionGraph, schedule: Schedule) -> Schedule:

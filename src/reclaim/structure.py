@@ -9,25 +9,48 @@ energy, so the forward speeds apply verbatim.
 
 from __future__ import annotations
 
+import heapq
+
 from .continuous import Elementary, Parallel, Series, SpgNode, TreeNode
 from .graph import ExecutionGraph, Task
 
 STRUCTURES = ("independent", "chain", "fork", "tree", "spg", "dag")
 
+_NOT_A = {
+    "independent": "an independent task set",
+    "chain": "a chain",
+    "fork": "a fork or join",
+    "tree": "a tree",
+    "spg": "series-parallel",
+}
+
+
+def recognise(g: ExecutionGraph, shape: str | None = None) -> tuple[str, object]:
+    """The graph's shape label together with its parsed form.
+
+    The form is the task ids in topological order for 'independent', the
+    path order for 'chain', (center, branches) for 'fork', a TreeNode for
+    'tree', an SpgNode for 'spg' and None for 'dag'. Without ``shape``
+    the most specific shape wins, falling back to 'dag'; with it, only
+    that shape is parsed, and ValueError says when the graph lacks it.
+    """
+    if shape == "dag":
+        return "dag", None
+    for label in [shape] if shape else STRUCTURES[:-1]:
+        if label == "independent":
+            form = None if g.edges else list(g.topo_order)
+        else:
+            form = {"chain": as_chain, "fork": as_fork, "tree": as_tree, "spg": as_spg}[label](g)
+        if form is not None:
+            return label, form
+    if shape:
+        raise ValueError(f"instance is not {_NOT_A[shape]}")
+    return "dag", None
+
 
 def detect_structure(g: ExecutionGraph) -> str:
     """Most specific recognized shape, falling back to 'dag'."""
-    if not g.edges:
-        return "independent"
-    if as_chain(g) is not None:
-        return "chain"
-    if as_fork(g) is not None:
-        return "fork"
-    if as_tree(g) is not None:
-        return "tree"
-    if as_spg(g) is not None:
-        return "spg"
-    return "dag"
+    return recognise(g)[0]
 
 
 def _degrees(g: ExecutionGraph) -> tuple[dict[str, int], dict[str, int]]:
@@ -158,11 +181,19 @@ def as_spg(g: ExecutionGraph) -> SpgNode | None:
         pairs.setdefault((u, v), []).append(eid)
         return eid
 
-    series_ready = {
-        tid
-        for tid in out_eids
-        if tid not in (src, snk) and len(in_eids[tid]) == 1 and len(out_eids[tid]) == 1
-    }
+    # The splice order is smallest id first; the heap holds exactly the
+    # members of series_ready, so the pick costs a log, not a scan.
+    series_ready: set[str] = set()
+    series_heap: list[str] = []
+
+    def mark_series(tid: str) -> None:
+        one_in_one_out = len(in_eids[tid]) == len(out_eids[tid]) == 1
+        if one_in_one_out and tid not in series_ready and tid not in (src, snk):
+            series_ready.add(tid)
+            heapq.heappush(series_heap, tid)
+
+    for tid in out_eids:
+        mark_series(tid)
     parallel_ready = {key for key, bucket in pairs.items() if len(bucket) > 1}
 
     while series_ready or parallel_ready:
@@ -177,14 +208,12 @@ def as_spg(g: ExecutionGraph) -> SpgNode | None:
                 drop(b)
                 add(u, v, node)
                 bucket = pairs.get(key, [])
-            u, v = key
             # Removing parallel edges can enable a series splice.
-            for tid in (u, v):
-                if tid not in (src, snk) and len(in_eids[tid]) == 1 and len(out_eids[tid]) == 1:
-                    series_ready.add(tid)
+            for tid in key:
+                mark_series(tid)
         if not series_ready:
             break
-        x = min(series_ready)
+        x = heapq.heappop(series_heap)
         series_ready.discard(x)
         if len(in_eids[x]) != 1 or len(out_eids[x]) != 1:
             continue
@@ -198,8 +227,7 @@ def as_spg(g: ExecutionGraph) -> SpgNode | None:
         if len(pairs[(u, v)]) > 1:
             parallel_ready.add((u, v))
         for tid in (u, v):
-            if tid not in (src, snk) and len(in_eids[tid]) == 1 and len(out_eids[tid]) == 1:
-                series_ready.add(tid)
+            mark_series(tid)
 
     if len(frag) == 1:
         (eid,) = frag

@@ -9,7 +9,7 @@ of the simplex solution together with an explicit segmented schedule.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -172,15 +172,9 @@ def solve_vdd(g: ExecutionGraph, model: VddModel) -> tuple[Schedule, SolveReport
         profiles[tid] = Segments(parts)
         starts[tid] = float(x[i])
     schedule = Schedule(profiles=profiles, starts=starts)
-    report = evaluate_schedule(g, schedule)
     log.info("vdd: objective %.12g over %d variables", objective, len(problem.var_names))
-    return schedule, SolveReport(
-        energy=report.energy,
-        makespan=report.makespan,
-        feasible=report.feasible,
-        speeds=report.speeds,
-        diagnostics={"objective": objective, "variables": len(problem.var_names)},
-    )
+    diagnostics = {"objective": objective, "variables": len(problem.var_names)}
+    return schedule, replace(evaluate_schedule(g, schedule), diagnostics=diagnostics)
 
 
 def average_speeds(schedule: Schedule, g: ExecutionGraph) -> dict[str, float]:

@@ -1,10 +1,12 @@
 """End-to-end runs of the command-line interface (in-process)."""
 
 import json
+import random
 
 import pytest
 
 import reclaim as rc
+import support
 from reclaim.cli import main
 
 
@@ -186,6 +188,50 @@ def test_compare_skips_the_continuous_check_below_the_top_mode(capsys, tmp_path)
     assert payload["ordering_skipped"] == []
 
 
+N_SHAPED = {
+    # a and b are both sources, c joins them and b splits: no closed form.
+    "tasks": [{"id": t, "cost": c} for t, c in [("a", 2.0), ("b", 1.0), ("c", 3.0), ("d", 1.5)]],
+    "precedence": [["a", "c"], ["b", "c"], ["b", "d"]],
+    "allocation": [{"processor": k, "order": [t]} for k, t in enumerate("abcd")],
+    "deadline": 3.0,
+}
+
+
+@pytest.mark.parametrize("fixture, shape", [
+    ("example4", "tree"), ("diamond", "spg"), ("n-shaped", "dag"),
+])
+@pytest.mark.parametrize("cap", [[], ["--smax", "4"]])
+def test_compare_prices_continuous_as_solve_does(capsys, tmp_path, example4_path, fixture,
+                                                 shape, cap):
+    instances = {"diamond": DIAMOND, "n-shaped": N_SHAPED}
+    path = example4_path if fixture == "example4" else write_instance(tmp_path, instances[fixture])
+    solved = run_json(capsys, "solve", path, "--model", "continuous", *cap)
+    assert solved["structure"] == shape
+    compared = run_json(capsys, "compare", path, *cap)
+    row = next(r for r in compared["rows"] if r["model"] == "continuous")
+    assert row["energy"] == solved["energy"]
+
+
+def test_compare_uses_the_tree_closed_form(capsys, tmp_path, monkeypatch):
+    rng = random.Random(200)
+    costs, edges = support.tree_edges_and_costs(support.random_tree(rng, 200))
+    inst = {
+        "tasks": [{"id": t, "cost": c} for t, c in costs.items()],
+        "precedence": [list(e) for e in edges],
+        "allocation": [{"processor": k, "order": [t]} for k, t in enumerate(costs)],
+        "deadline": 50.0,
+    }
+    path = write_instance(tmp_path, inst)
+
+    def no_barrier(*args, **kwargs):
+        raise AssertionError("compare ran the barrier on a tree")
+
+    monkeypatch.setattr("reclaim.continuous.solve_dag", no_barrier)
+    payload = run_json(capsys, "compare", path)
+    row = next(r for r in payload["rows"] if r["model"] == "continuous")
+    assert row["status"] == "ok"
+
+
 def test_compare_marks_skipped_rows(capsys, example4_path):
     payload = run_json(capsys, "compare", example4_path, "--smax", "6")
     by_model = {r["model"]: r for r in payload["rows"]}
@@ -278,9 +324,15 @@ def test_power_profile_csv(capsys, example4_path, tmp_path):
 
 def test_structure_override_and_fallback(capsys, tmp_path):
     path = write_instance(tmp_path, DIAMOND)
-    # the diamond is series-parallel; uncapped solves use the closed form
+    # the diamond is series-parallel; uncapped solves use the closed form,
+    # and the report carries its schedule
     payload = run_json(capsys, "solve", path, "--model", "continuous")
     assert payload["structure"] == "spg"
+    assert {row["id"] for row in payload["schedule"]} == {"s", "a", "b", "t"}
+    assert payload["makespan"] == pytest.approx(4.0, rel=1e-12)
+    assert payload["energy"] == pytest.approx(
+        payload["diagnostics"]["closed_form_energy"], rel=1e-12
+    )
 
     # an explicit spg request with a finite cap is refused ...
     code, _, err = run(

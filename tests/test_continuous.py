@@ -145,6 +145,25 @@ def test_spg_energy_frozen_case():
     assert rc.solve_spg(g, 2.5) == pytest.approx(125.0 / 6.25, rel=1e-12)
 
 
+def test_spg_speeds_split_the_window(build):
+    # s -> {a, b} -> t: both branches get the interior window, the
+    # endpoints run at spg_cost / D.
+    g = build(
+        [("s", 1.0), ("a", 2.0), ("b", 2.0), ("t", 1.0)],
+        [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")],
+        [["s"], ["a"], ["b"], ["t"]],
+        5.0,
+    )
+    node = rc.as_spg(g)
+    energy, speeds = rc.spg_speeds(node, 5.0)
+    total = 2.0 + 16.0 ** (1.0 / 3.0)
+    assert energy == pytest.approx(total**3 / 25.0, rel=1e-12)
+    assert speeds["s"] == speeds["t"] == pytest.approx(total / 5.0, rel=1e-12)
+    assert speeds["a"] == speeds["b"]
+    assert 1.0 / speeds["s"] + 2.0 / speeds["a"] + 1.0 / speeds["t"] == pytest.approx(5.0)
+    assert sum(g.costs[t] * s * s for t, s in speeds.items()) == pytest.approx(energy, rel=1e-12)
+
+
 def test_spg_rejects_finite_cap():
     g = rc.Elementary(rc.Task("s", 2.0), rc.Task("t", 3.0))
     with pytest.raises(rc.UnsupportedError):

@@ -85,15 +85,19 @@ def test_topological_order_is_deterministic(build):
         [["a"], ["b"], ["c"]],
         1.0,
     )
-    assert rc.topological_order(g) == ["a", "b", "c"]  # id tie-break
+    order = rc.topological_order(g)
+    assert order == ["a", "b", "c"]  # id tie-break
+    order.reverse()  # the graph keeps its own copy
+    assert rc.topological_order(g) == ["a", "b", "c"]
 
     cyclic = rc.ExecutionGraph(
         tasks=(rc.Task("x", 1.0), rc.Task("y", 1.0)),
         edges=frozenset({("x", "y"), ("y", "x")}),
         deadline=1.0,
     )
-    with pytest.raises(rc.CycleError):
-        rc.topological_order(cyclic)
+    for _ in range(2):  # a failed order is not cached
+        with pytest.raises(rc.CycleError):
+            rc.topological_order(cyclic)
 
 
 def test_asap_times_match_reference_on_random_dags(build):

@@ -1,6 +1,7 @@
 """Shape detection on execution graphs and the closed-form adapters."""
 
 import random
+import time
 
 import pytest
 
@@ -155,6 +156,61 @@ def test_random_spgs_are_recognized(build):
         ids = sorted(costs)
         g = build([(i, costs[i]) for i in ids], edges, [[i] for i in ids], 10.0)
         assert rc.as_spg(g) is not None
+
+
+def test_recognise_returns_the_parsed_form(build):
+    g = chain_graph(build, ["B", "A", "C"])
+    assert rc.recognise(g) == ("chain", ["B", "A", "C"])
+    assert rc.recognise(g, "tree")[1] == rc.as_tree(g)
+    assert rc.recognise(g, "dag") == ("dag", None)
+    fork = build(
+        [("c", 1.0), ("x", 1.0), ("y", 1.0)],
+        [("c", "x"), ("c", "y")],
+        [["c"], ["x"], ["y"]],
+        5.0,
+    )
+    assert rc.recognise(fork) == ("fork", ("c", ["x", "y"]))
+    loose = build([("b", 1.0), ("a", 1.0)], [], [["b"], ["a"]], 5.0)
+    assert rc.recognise(loose) == ("independent", ["a", "b"])
+    with pytest.raises(ValueError, match="not a chain"):
+        rc.recognise(fork, "chain")
+    with pytest.raises(ValueError, match="not an independent task set"):
+        rc.recognise(fork, "independent")
+
+
+def _plain_spg_cost(data, costs):
+    # Inner cost adds in series (junction counted once) and combines by
+    # the cube root of the cube sum in parallel; endpoints count once.
+    post, stack = [], [data]
+    while stack:
+        node = stack.pop()
+        post.append(node)
+        stack.extend(node["children"])
+    inner = {}
+    for node in reversed(post):
+        if node["kind"] == "elem":
+            inner[id(node)] = 0.0
+        elif node["kind"] == "series":
+            a, b = node["children"]
+            inner[id(node)] = inner[id(a)] + costs[a["sink"]] + inner[id(b)]
+        else:
+            a, b = node["children"]
+            inner[id(node)] = (inner[id(a)] ** 3 + inner[id(b)] ** 3) ** (1 / 3)
+    return costs[data["source"]] + inner[id(data)] + costs[data["sink"]]
+
+
+def test_large_spg_decomposes_in_near_linear_time(build):
+    rng = random.Random(16)
+    data, costs = support.random_spg(rng, 16_000)
+    ids = sorted(costs)
+    g = build([(i, costs[i]) for i in ids], sorted(support.spg_edges(data)),
+              [[i] for i in ids], 100.0)
+    t0 = time.perf_counter()
+    node = rc.as_spg(g)
+    elapsed = time.perf_counter() - t0
+    assert node is not None
+    assert rc.spg_cost(node) == pytest.approx(_plain_spg_cost(data, costs), rel=1e-12)
+    assert elapsed < 5.0
 
 
 def test_two_component_graph_is_not_a_tree(build):
