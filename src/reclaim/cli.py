@@ -273,23 +273,12 @@ def _solve_continuous(g: ExecutionGraph, args) -> tuple[str, Schedule, SolveRepo
         # The detected shape stays in the report.
         return shape, *cont.solve_dag(g, s_max)
 
-    D = g.deadline
-    if shape == "independent":
-        speeds, energy = cont.solve_independent([g.costs[t] for t in form], D, s_max)
-        per_task = dict(zip(form, speeds))
-    elif shape == "chain":
-        speed, energy = cont.solve_chain([g.costs[t] for t in form], D, s_max)
-        per_task = dict.fromkeys(form, speed)
-    elif shape == "fork":
-        center, branches = form
-        speeds, energy = cont.solve_fork_join(
-            g.costs[center], [g.costs[b] for b in branches], D, s_max
-        )
-        per_task = {center: speeds[0], **dict(zip(branches, speeds[1:]))}
-    elif shape == "tree":
-        energy, per_task = cont.solve_tree(form, D, s_max)
+    if shape == "spg":
+        energy, per_task = cont.spg_speeds(form, g.deadline)
     else:
-        energy, per_task = cont.spg_speeds(form, D)
+        roots, children = form
+        order = struct.forest_order(g, children)
+        energy, per_task = cont.solve_forest(g.costs, roots, children, order, g.deadline, s_max)
     return shape, *constant_schedule(g, per_task, {"closed_form_energy": energy})
 
 

@@ -1,11 +1,13 @@
 """Continuous-speed solvers.
 
-Closed forms cover the graph classes where the optimum has a known
-shape: independent tasks, chains, fork/join, trees (bottom-up equivalent
-costs), and series-parallel graphs. A log-barrier solver handles
-arbitrary DAGs. Constant per-task speed is optimal in this model, so
-every solver here returns one speed per task, and the power-profile
-helpers verify the flat-power signature of an interior optimum.
+Two closed forms cover the graph classes where the optimum has a known
+shape: the paper's tree rule (bottom-up equivalent costs, speeds
+top-down) on forests, which include independent tasks, chains and
+fork/join stars, and the series-parallel rule. A log-barrier solver
+handles arbitrary DAGs. Constant per-task speed is optimal in this
+model, so every solver here returns one speed per task, and the
+power-profile helpers verify the flat-power signature of an interior
+optimum.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -48,35 +50,100 @@ class ContinuousModel:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms
+# Forests: independent tasks, chains, fork/join stars and trees
+
+
+def solve_forest(
+    costs: Mapping[str, float],
+    roots: Sequence[str],
+    children: Mapping[str, Sequence[str]],
+    order: Sequence[str],
+    deadline: float,
+    s_max: float = math.inf,
+) -> tuple[float, dict[str, float]]:
+    """Energy and per-task speeds of a forest by the paper's tree rule.
+
+    ``children`` maps every task to its children and ``order`` lists
+    every task, each parent before its children. Bottom-up, a task's
+    equivalent cost is its own plus the cube root of its children's
+    summed cubes (a single child's equivalent cost as it is). Top-down, a
+    root gets rate eq / D and the whole window D. A task whose rate
+    stays under the cap runs at it and hands each child the same rate
+    scaled by the child's share; a task above the cap is pinned at s_max
+    and its children split what is left of its window as roots of their
+    own. Infeasible when a pinned task's work overruns its window.
+    """
+    _check_window(deadline)
+    eq, inner = _equivalent_costs(costs, children, order)
+    rate = {r: eq[r] / deadline for r in roots}
+    window = dict.fromkeys(roots, deadline)
+    speeds: dict[str, float] = {}
+    energy = 0.0
+    for tid in order:
+        cost, r, kids = costs[tid], rate[tid], children[tid]
+        if r <= s_max * (1 + REL_TOL):
+            s = min(r, s_max)
+            below = inner[tid]
+            for c in kids:
+                rate[c] = r * (eq[c] / below)
+                window[c] = below / r
+        else:
+            s = s_max
+            if cost / s_max > window[tid] * (1 + REL_TOL):
+                raise InfeasibleError(
+                    f"task {tid!r}: work {cost} at cap {s_max:g} "
+                    f"misses its window {window[tid]:g}"
+                )
+            rest = window[tid] - cost / s_max
+            if kids and rest <= 0:
+                raise InfeasibleError(f"no execution window left at task {kids[0]!r}")
+            for c in kids:
+                rate[c] = eq[c] / rest
+                window[c] = rest
+        speeds[tid] = s
+        energy += cost * s * s
+    return energy, speeds
+
+
+def _equivalent_costs(
+    costs: Mapping[str, float], children: Mapping[str, Sequence[str]], order: Sequence[str]
+) -> tuple[dict[str, float], dict[str, float]]:
+    # Bottom-up: every task's equivalent cost, and the combined equivalent
+    # cost of its children (its inner cost).
+    eq: dict[str, float] = {}
+    inner: dict[str, float] = {}
+    for tid in reversed(order):
+        kids = children[tid]
+        if len(kids) == 1:
+            below = eq[kids[0]]
+        elif kids:
+            below = _cbrt(sum(eq[c] ** 3 for c in kids))
+        else:
+            below = 0.0
+        inner[tid] = below
+        eq[tid] = costs[tid] + below
+    return eq, inner
 
 
 def solve_independent(
     costs: Sequence[float], deadline: float, s_max: float = math.inf
 ) -> tuple[list[float], float]:
     """Each task gets the whole window: s_i = w_i / D."""
-    _check_window(deadline)
-    speeds = []
-    energy = 0.0
-    for w in costs:
-        s = w / deadline
-        if s > s_max * (1 + REL_TOL):
-            raise InfeasibleError(f"cost {w} needs speed {s:g} > cap {s_max:g}")
-        speeds.append(min(s, s_max))
-        energy += w**3 / deadline**2
-    return speeds, energy
+    ids = range(len(costs))
+    energy, speeds = solve_forest(
+        dict(enumerate(costs)), ids, dict.fromkeys(ids, ()), ids, deadline, s_max
+    )
+    return [speeds[i] for i in ids], energy
 
 
 def solve_chain(
     costs: Sequence[float], deadline: float, s_max: float = math.inf
 ) -> tuple[float, float]:
     """A chain behaves like one task of the summed cost: s = W / D."""
-    _check_window(deadline)
-    total = sum(costs)
-    s = total / deadline
-    if s > s_max * (1 + REL_TOL):
-        raise InfeasibleError(f"chain work {total} needs speed {s:g} > cap {s_max:g}")
-    return min(s, s_max), total**3 / deadline**2
+    ids = range(len(costs))
+    children = {i: ids[i + 1:i + 2] for i in ids}
+    energy, speeds = solve_forest(dict(enumerate(costs)), ids[:1], children, ids, deadline, s_max)
+    return speeds[0], energy
 
 
 def solve_fork_join(
@@ -85,37 +152,18 @@ def solve_fork_join(
     deadline: float,
     s_max: float = math.inf,
 ) -> tuple[list[float], float]:
-    """Root task followed by independent branches (or the time-mirrored join).
-
-    Unclamped, the root runs at ((sum w^3)^(1/3) + w0) / D and each branch
-    at its cost-proportional share. When that exceeds the cap, the root is
-    pinned at s_max and the branches split the remaining window as
-    independent tasks.
-    """
-    _check_window(deadline)
-    cubes = _cbrt(sum(w**3 for w in branch_costs))
-    s0 = (cubes + root_cost) / deadline
-    if s0 <= s_max * (1 + REL_TOL):
-        s0 = min(s0, s_max)
-        speeds = [s0] + [s0 * w / cubes for w in branch_costs]
-        return speeds, (cubes + root_cost) ** 3 / deadline**2
-    rest = deadline - root_cost / s_max
-    if rest <= 0:
-        raise InfeasibleError(
-            f"root work {root_cost} at cap {s_max:g} leaves no window for the branches"
-        )
-    branch_speeds, branch_energy = solve_independent(branch_costs, rest, s_max)
-    energy = root_cost * s_max * s_max + branch_energy
-    return [s_max] + branch_speeds, energy
+    """Root task followed by independent branches (or the time-mirrored
+    join); speeds come root first, then the branches in order."""
+    ids = range(len(branch_costs) + 1)
+    children = {0: ids[1:], **dict.fromkeys(ids[1:], ())}
+    costs = dict(enumerate([root_cost, *branch_costs]))
+    energy, speeds = solve_forest(costs, ids[:1], children, ids, deadline, s_max)
+    return [speeds[i] for i in ids], energy
 
 
 def _check_window(deadline: float) -> None:
     if not deadline > 0:
         raise InfeasibleError(f"deadline must be positive, got {deadline}")
-
-
-# ---------------------------------------------------------------------------
-# Trees
 
 
 @dataclass(frozen=True)
@@ -125,71 +173,35 @@ class TreeNode:
     children: tuple["TreeNode", ...] = ()
 
 
-def _postorder(root: TreeNode) -> list[TreeNode]:
-    # Iterative: fixture trees reach 10^4 nodes, past the recursion limit.
-    out: list[TreeNode] = []
-    stack: list[TreeNode] = [root]
+def _tree_tables(root: TreeNode) -> tuple[dict, dict, list[str]]:
+    # Costs, child ids and a parents-first order of a TreeNode tree;
+    # iterative, since fixture trees reach 10^4 nodes.
+    costs: dict[str, float] = {}
+    children: dict[str, list[str]] = {}
+    order: list[str] = []
+    stack = [root]
     while stack:
         node = stack.pop()
-        out.append(node)
+        order.append(node.id)
+        costs[node.id] = node.cost
+        children[node.id] = [c.id for c in node.children]
         stack.extend(node.children)
-    out.reverse()  # children now precede their parent
-    return out
-
-
-def _tree_eq_costs(root: TreeNode) -> dict[int, float]:
-    # Equivalent cost of every node, keyed by id(node).
-    eq: dict[int, float] = {}
-    for node in _postorder(root):
-        if node.children:
-            eq[id(node)] = _cbrt(sum(eq[id(c)] ** 3 for c in node.children)) + node.cost
-        else:
-            eq[id(node)] = node.cost
-    return eq
+    return costs, children, order
 
 
 def tree_eq_cost(root: TreeNode) -> float:
     """Equivalent cost: leaves keep their own, a parent adds its cost to
     the cube-root of the sum of cubed child costs."""
-    return _tree_eq_costs(root)[id(root)]
+    costs, children, order = _tree_tables(root)
+    return _equivalent_costs(costs, children, order)[0][root.id]
 
 
 def solve_tree(
     root: TreeNode, deadline: float, s_max: float = math.inf
 ) -> tuple[float, dict[str, float]]:
-    """Energy and per-task speeds for a rooted tree.
-
-    Bottom-up equivalent costs first; then speeds top-down. A node whose
-    required speed stays under the cap passes each child the window that
-    remains after its own run; a capped node burns s_max and recurses on
-    a shortened window. Infeasible when a node's own work overruns its
-    window even at s_max.
-    """
-    _check_window(deadline)
-    eq = _tree_eq_costs(root)
-    speeds: dict[str, float] = {}
-    energy = 0.0
-    stack: list[tuple[TreeNode, float]] = [(root, deadline)]
-    while stack:
-        node, window = stack.pop()
-        if window <= 0:
-            raise InfeasibleError(f"no execution window left at task {node.id!r}")
-        s = eq[id(node)] / window
-        if s > s_max * (1 + REL_TOL):
-            s = s_max
-            if node.cost / s_max > window * (1 + REL_TOL):
-                raise InfeasibleError(
-                    f"task {node.id!r}: work {node.cost} at cap {s_max:g} "
-                    f"misses its window {window:g}"
-                )
-        else:
-            s = min(s, s_max)
-        speeds[node.id] = s
-        energy += node.cost * s * s
-        remaining = window - node.cost / s
-        for child in node.children:
-            stack.append((child, remaining))
-    return energy, speeds
+    """Energy and per-task speeds for a rooted tree (see solve_forest)."""
+    costs, children, order = _tree_tables(root)
+    return solve_forest(costs, [root.id], children, order, deadline, s_max)
 
 
 # ---------------------------------------------------------------------------

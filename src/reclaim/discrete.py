@@ -23,6 +23,7 @@ from .graph import (
     Schedule,
     SolveReport,
     Task,
+    asap_times,
     build_execution_graph,
     constant_schedule,
     topological_order,
@@ -289,6 +290,12 @@ def _round_up(target: float, grid: Sequence[float]) -> float | None:
 
 def _approx(g: ExecutionGraph, grid: list[float], K: int, bound_factor: float, lowest: float):
     geo = geometric_modes(lowest, grid[-1], K)
+    # The ladder stops at its last rung within the top speed. When the
+    # deadline needs more, the top speed closes it: still within a ratio
+    # of 1 + 1/K of the rung below, so the bound and certificate hold.
+    _, completion = asap_times(g, {tid: g.costs[tid] / geo[-1] for tid in g.topo_order})
+    if max(completion.values()) > g.deadline and grid[-1] > geo[-1]:
+        geo.append(grid[-1])
     vdd_schedule, vdd_report = solve_vdd(g, VddModel(tuple(geo)))
     averages = average_speeds(vdd_schedule, g)
     speeds: dict[str, float] = {}

@@ -1,15 +1,17 @@
 """Shape detection for execution graphs.
 
-The closed-form solvers each demand a specific topology. This module
-recognizes those topologies on an arbitrary execution graph and converts
-to the solver's native input. Mirrored shapes (a join, an in-tree) run
-through the same solvers: reversing time changes neither durations nor
-energy, so the forward speeds apply verbatim.
+The two closed forms each demand a topology: a forest or a two-terminal
+series-parallel graph. This module recognizes them on an arbitrary
+execution graph and converts to the solver's input. Mirrored shapes (a
+join, an in-tree) are forests whose children are the predecessors:
+reversing time changes neither durations nor energy, so the forward
+speeds apply verbatim.
 """
 
 from __future__ import annotations
 
 import heapq
+from typing import Sequence
 
 from .continuous import Elementary, Parallel, Series, SpgNode, TreeNode
 from .graph import ExecutionGraph, Task
@@ -28,21 +30,22 @@ _NOT_A = {
 def recognise(g: ExecutionGraph, shape: str | None = None) -> tuple[str, object]:
     """The graph's shape label together with its parsed form.
 
-    The form is the task ids in topological order for 'independent', the
-    path order for 'chain', (center, branches) for 'fork', a TreeNode for
-    'tree', an SpgNode for 'spg' and None for 'dag'. Without ``shape``
+    The form is (roots, children) from `as_forest` for the four forest
+    labels, an SpgNode for 'spg' and None for 'dag'. Without ``shape``
     the most specific shape wins, falling back to 'dag'; with it, only
     that shape is parsed, and ValueError says when the graph lacks it.
     """
     if shape == "dag":
         return "dag", None
-    for label in [shape] if shape else STRUCTURES[:-1]:
-        if label == "independent":
-            form = None if g.edges else list(g.topo_order)
-        else:
-            form = {"chain": as_chain, "fork": as_fork, "tree": as_tree, "spg": as_spg}[label](g)
-        if form is not None:
-            return label, form
+    if shape != "spg":
+        forest = as_forest(g)
+        if forest is not None and (shape is None or shape in forest[0]):
+            labels, roots, children = forest
+            return shape or labels[0], (roots, children)
+    if shape in (None, "spg"):
+        node = as_spg(g)
+        if node is not None:
+            return "spg", node
     if shape:
         raise ValueError(f"instance is not {_NOT_A[shape]}")
     return "dag", None
@@ -53,77 +56,57 @@ def detect_structure(g: ExecutionGraph) -> str:
     return recognise(g)[0]
 
 
-def _degrees(g: ExecutionGraph) -> tuple[dict[str, int], dict[str, int]]:
-    indeg = {t.id: 0 for t in g.tasks}
-    outdeg = {t.id: 0 for t in g.tasks}
-    for u, v in g.edges:
-        outdeg[u] += 1
-        indeg[v] += 1
-    return indeg, outdeg
+def as_forest(
+    g: ExecutionGraph,
+) -> tuple[tuple[str, ...], list[str], dict[str, tuple[str, ...]]] | None:
+    """(labels, roots, children) when the graph is a forest shape, or None.
 
-
-def as_chain(g: ExecutionGraph) -> list[str] | None:
-    """Task ids in path order, or None when the graph is not one path."""
+    An out-forest (every task has at most one predecessor) has
+    ``g.successors`` as its children; an in-forest (at most one
+    successor) has ``g.predecessors``. The labels are those of
+    'independent', 'chain', 'fork' and 'tree' the graph has, most
+    specific first: no edges makes an independent set, and one root a
+    tree, which is a chain when no task has two children and a fork when
+    the root is every other task's parent. Several roots joined by edges
+    make no forest shape.
+    """
     n = len(g.tasks)
-    if len(g.edges) != n - 1:
-        return None
-    indeg, outdeg = _degrees(g)
-    if any(d > 1 for d in indeg.values()) or any(d > 1 for d in outdeg.values()):
-        return None
-    heads = [tid for tid, d in indeg.items() if d == 0]
-    if len(heads) != 1:
-        return None
-    order = [heads[0]]
-    while True:
-        succ = g.successors[order[-1]]
-        if not succ:
-            break
-        order.append(succ[0])
-    return order if len(order) == n else None
-
-
-def as_fork(g: ExecutionGraph) -> tuple[str, list[str]] | None:
-    """(center id, branch ids) for a star out of one task or into one task."""
-    for edges in (g.edges, {(v, u) for u, v in g.edges}):
-        heads = {u for u, _ in edges}
-        if len(heads) == 1:
-            (center,) = heads
-            branches = sorted(v for _, v in edges)
-            if len(branches) == len(g.tasks) - 1 and center not in branches:
-                return center, branches
+    for parents, children in ((g.predecessors, g.successors), (g.successors, g.predecessors)):
+        if any(len(p) > 1 for p in parents.values()):
+            continue
+        roots = [tid for tid, p in parents.items() if not p]
+        labels: tuple[str, ...] = () if g.edges else ("independent",)
+        if len(roots) == 1:
+            if all(len(c) <= 1 for c in children.values()):
+                labels += ("chain",)
+            if len(children[roots[0]]) == n - 1 > 0:
+                labels += ("fork",)
+            labels += ("tree",)
+        if labels:
+            return labels, roots, children
     return None
+
+
+def forest_order(g: ExecutionGraph, children: dict[str, tuple[str, ...]]) -> Sequence[str]:
+    """Every task of a forest from `as_forest`, each parent before its
+    children: topological order for an out-forest, its reverse for an
+    in-forest."""
+    return g.topo_order if children is g.successors else g.topo_order[::-1]
 
 
 def as_tree(g: ExecutionGraph) -> TreeNode | None:
     """The graph as a rooted tree (edges all away from, or all toward,
     a single root), or None."""
-    n = len(g.tasks)
-    if len(g.edges) != n - 1:
+    forest = as_forest(g)
+    if forest is None or "tree" not in forest[0]:
         return None
-    for edges in (g.edges, frozenset((v, u) for u, v in g.edges)):
-        indeg = {t.id: 0 for t in g.tasks}
-        children: dict[str, list[str]] = {t.id: [] for t in g.tasks}
-        for u, v in edges:
-            indeg[v] += 1
-            children[u].append(v)
-        roots = [tid for tid, d in indeg.items() if d == 0]
-        if len(roots) != 1 or any(d > 1 for d in indeg.values()):
-            continue
-        # Build bottom-up so no recursion depth binds the tree size.
-        order: list[str] = []
-        stack = [roots[0]]
-        while stack:
-            tid = stack.pop()
-            order.append(tid)
-            stack.extend(children[tid])
-        if len(order) != n:
-            continue
-        nodes: dict[str, TreeNode] = {}
-        for tid in reversed(order):
-            kids = tuple(nodes[c] for c in sorted(children[tid]))
-            nodes[tid] = TreeNode(id=tid, cost=g.costs[tid], children=kids)
-        return nodes[roots[0]]
-    return None
+    _, (root,), children = forest
+    # Build bottom-up so no recursion depth binds the tree size.
+    nodes: dict[str, TreeNode] = {}
+    for tid in reversed(forest_order(g, children)):
+        kids = tuple(nodes[c] for c in children[tid])
+        nodes[tid] = TreeNode(id=tid, cost=g.costs[tid], children=kids)
+    return nodes[root]
 
 
 def as_spg(g: ExecutionGraph) -> SpgNode | None:
@@ -137,9 +120,8 @@ def as_spg(g: ExecutionGraph) -> SpgNode | None:
     n = len(g.tasks)
     if n < 2 or not g.edges:
         return None
-    indeg, outdeg = _degrees(g)
-    sources = sorted(tid for tid, d in indeg.items() if d == 0)
-    sinks = sorted(tid for tid, d in outdeg.items() if d == 0)
+    sources = [tid for tid, p in g.predecessors.items() if not p]
+    sinks = [tid for tid, s in g.successors.items() if not s]
     if len(sources) != 1 or len(sinks) != 1:
         return None
     src, snk = sources[0], sinks[0]

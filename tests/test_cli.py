@@ -212,6 +212,82 @@ def test_compare_prices_continuous_as_solve_does(capsys, tmp_path, example4_path
     assert row["energy"] == solved["energy"]
 
 
+def _solve_instance(costs, edges, runs=None, deadline=4.0):
+    # Each task on its own processor unless run lists are given.
+    runs = runs or [[t] for t in costs]
+    return {
+        "tasks": [{"id": t, "cost": c} for t, c in costs.items()],
+        "precedence": [list(e) for e in edges],
+        "allocation": [{"processor": k, "order": r} for k, r in enumerate(runs)],
+        "deadline": deadline,
+    }
+
+
+NESTING_INSTANCES = {
+    "one-task": ({"A": 2.0}, []),
+    "chain-2": ({"A": 1.0, "B": 2.0}, [], [["A", "B"]]),
+    "chain-3": ({"A": 1.0, "B": 2.0, "C": 1.5}, [], [["A", "B", "C"]]),
+    "out-star": ({"c": 2.0, "x": 1.0, "y": 1.5, "z": 1.0}, [("c", "x"), ("c", "y"), ("c", "z")]),
+    "in-star": ({"c": 2.0, "x": 1.0, "y": 1.5, "z": 1.0}, [("x", "c"), ("y", "c"), ("z", "c")]),
+    "out-tree": ({"r": 1.0, "a": 2.0, "b": 1.0, "c": 1.5, "d": 0.5},
+                 [("r", "a"), ("r", "b"), ("a", "c"), ("a", "d")]),
+    "in-tree": ({"r": 1.0, "a": 2.0, "b": 1.0, "c": 1.5, "d": 0.5},
+                [("a", "r"), ("b", "r"), ("c", "a"), ("d", "a")]),
+    "independent": ({"A": 1.0, "B": 2.0, "C": 1.5}, []),
+    "two-component": ({"a": 1.0, "b": 2.0, "c": 1.5, "d": 1.0}, [], [["a", "b"], ["c", "d"]]),
+    "spg": ({"s": 1.0, "a": 2.0, "b": 2.0, "t": 1.0},
+            [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")]),
+    "dag": ({"a": 2.0, "b": 1.0, "c": 3.0, "d": 1.5}, [("a", "c"), ("b", "c"), ("b", "d")]),
+}
+
+# `solve --model continuous --structure X`, uncapped, for X in
+# (none, independent, chain, fork, tree, spg, dag): the reported
+# structure, or "exit 1" for an instance that lacks the shape.
+NESTING = {
+    "one-task": ("independent", "independent", "chain", "exit 1", "tree", "exit 1", "dag"),
+    "chain-2": ("chain", "exit 1", "chain", "fork", "tree", "spg", "dag"),
+    "chain-3": ("chain", "exit 1", "chain", "exit 1", "tree", "spg", "dag"),
+    "out-star": ("fork", "exit 1", "exit 1", "fork", "tree", "exit 1", "dag"),
+    "in-star": ("fork", "exit 1", "exit 1", "fork", "tree", "exit 1", "dag"),
+    "out-tree": ("tree", "exit 1", "exit 1", "exit 1", "tree", "exit 1", "dag"),
+    "in-tree": ("tree", "exit 1", "exit 1", "exit 1", "tree", "exit 1", "dag"),
+    "independent": ("independent", "independent", "exit 1", "exit 1", "exit 1", "exit 1", "dag"),
+    "two-component": ("dag", "exit 1", "exit 1", "exit 1", "exit 1", "exit 1", "dag"),
+    "spg": ("spg", "exit 1", "exit 1", "exit 1", "exit 1", "spg", "dag"),
+    "dag": ("dag", "exit 1", "exit 1", "exit 1", "exit 1", "exit 1", "dag"),
+}
+
+
+@pytest.mark.parametrize("structure", [None, *rc.STRUCTURES])
+@pytest.mark.parametrize("name", list(NESTING))
+def test_structure_override_nesting(capsys, tmp_path, name, structure):
+    path = write_instance(tmp_path, _solve_instance(*NESTING_INSTANCES[name]))
+    override = [] if structure is None else ["--structure", structure]
+    code, out, err = run(capsys, "solve", path, "--model", "continuous", *override)
+    expected = NESTING[name][[None, *rc.STRUCTURES].index(structure)]
+    if expected == "exit 1":
+        assert code == 1
+        assert "not" in err
+    else:
+        assert code == 0, err
+        assert json.loads(out)["structure"] == expected
+
+
+@pytest.mark.parametrize("name", ["out-tree", "in-tree", "chain-3", "out-star", "in-star",
+                                  "independent"])
+def test_forests_take_the_one_forest_solver(capsys, tmp_path, monkeypatch, name):
+    def retired(*args, **kwargs):
+        raise AssertionError("the CLI left the forest solver")
+
+    for target in ("reclaim.structure.as_tree", "reclaim.continuous.solve_tree",
+                   "reclaim.continuous.solve_chain", "reclaim.continuous.solve_independent",
+                   "reclaim.continuous.solve_fork_join", "reclaim.continuous.solve_dag"):
+        monkeypatch.setattr(target, retired)
+    path = write_instance(tmp_path, _solve_instance(*NESTING_INSTANCES[name]))
+    payload = run_json(capsys, "solve", path, "--model", "continuous")
+    assert payload["structure"] == NESTING[name][0]
+
+
 def test_compare_uses_the_tree_closed_form(capsys, tmp_path, monkeypatch):
     rng = random.Random(200)
     costs, edges = support.tree_edges_and_costs(support.random_tree(rng, 200))
@@ -284,6 +360,28 @@ def test_approx_reports_certificates(capsys, example4_path):
     )
     assert code == 1
     assert "K" in err
+
+
+def test_approx_closes_the_ladder_with_the_top_speed(capsys, tmp_path, example4_path):
+    # One task of cost 3 needs speed 2.4 by D = 1.25; the K = 2 ladder
+    # from mode 1 stops at 2.25 below the top mode 3, which must join it.
+    path = write_instance(tmp_path, _solve_instance({"A": 3.0}, [], deadline=1.25))
+    out = tmp_path / "approx.json"
+    code, _, err = run(capsys, "approx", path, "--model", "discrete", "--modes", "1,2,3",
+                       "--K", "2", "--out", str(out))
+    assert code == 0, err
+    payload = json.loads(out.read_text())
+    assert payload["energy"] == 27.0
+    assert payload["certified_upper"] >= payload["energy"]
+    assert payload["diagnostics"]["geometric_modes"] == [1.0, 1.5, 2.25, 3.0]
+    replay = run_json(capsys, "validate", path, str(out))
+    assert replay["feasible"] is True
+    assert replay["energy"] == payload["energy"]
+
+    # a deadline the ladder meets leaves the ladder as it is
+    payload = run_json(capsys, "approx", example4_path, "--model", "discrete",
+                       "--modes", "2,5,6", "--K", "2")
+    assert payload["diagnostics"]["geometric_modes"] == rc.geometric_modes(2.0, 6.0, 2)
 
 
 def test_gen2p_round_trip(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Closed forms, the barrier solver, and the power-profile checks."""
 
+import json
 import math
 import random
 
@@ -8,6 +9,7 @@ import pytest
 import reclaim as rc
 import support
 from reclaim import continuous as cont
+from reclaim.cli import main
 
 S1 = (2.0 / 3.0) * (3.0 + 35.0 ** (1.0 / 3.0))
 
@@ -116,6 +118,71 @@ def test_tree_agrees_with_numeric_solver(build):
         _, report = rc.solve_dag(g, s_max)
         assert energy == pytest.approx(report.energy, rel=1e-5)
         assert all(s <= s_max * (1 + 1e-9) for s in speeds.values())
+
+
+def _forest_instance(rng, shape):
+    """(costs, precedence, run lists) of a small forest of the given shape,
+    each task on its own processor (a chain on one)."""
+    n = rng.randint(1, 12) if shape == "independent" else rng.randint(2, 12)
+    ids = [f"T{k:02d}" for k in range(n)]
+    costs = {t: rng.uniform(0.5, 3.0) for t in ids}
+    runs = [[t] for t in ids]
+    if shape in ("out-tree", "in-tree"):
+        edges = [(ids[rng.randrange(k)], ids[k]) for k in range(1, n)]
+    elif shape in ("fork", "join"):
+        edges = [(ids[0], t) for t in ids[1:]]
+    else:
+        edges = []
+        if shape == "chain":
+            runs = [ids]
+    if shape in ("in-tree", "join"):
+        edges = [(v, u) for u, v in edges]
+    return costs, edges, runs
+
+
+def _paper_forest_energy(costs, edges, deadline):
+    # The paper's tree rule, with children along the edges of an
+    # out-forest and against them in an in-forest: a leaf's equivalent
+    # cost is its own, a parent's its own plus the cube root of the
+    # children's summed cubes; the energy is sum(eq(root)^3) / D^2.
+    out = len({v for _, v in edges}) == len(edges)
+    children = {t: [] for t in costs}
+    for u, v in edges:
+        parent, child = (u, v) if out else (v, u)
+        children[parent].append(child)
+    has_parent = {c for kids in children.values() for c in kids}
+
+    def eq(t):
+        kids = children[t]
+        return costs[t] + (sum(eq(c) ** 3 for c in kids) ** (1.0 / 3.0) if kids else 0.0)
+
+    return sum(eq(t) ** 3 for t in costs if t not in has_parent) / deadline**2
+
+
+@pytest.mark.parametrize("shape", ["out-tree", "in-tree", "chain", "fork", "join", "independent"])
+def test_forest_rule_matches_the_paper_formula(tmp_path, capsys, shape):
+    rng = random.Random(sum(map(ord, shape)))
+    for trial in range(15):
+        costs, edges, runs = _forest_instance(rng, shape)
+        deadline = rng.uniform(0.5, 4.0)
+        path = tmp_path / f"{trial}.json"
+        path.write_text(json.dumps({
+            "tasks": [{"id": t, "cost": c} for t, c in costs.items()],
+            "precedence": [list(e) for e in edges],
+            "allocation": [{"processor": k, "order": r} for k, r in enumerate(runs)],
+            "deadline": deadline,
+        }))
+        assert main(["solve", str(path), "--model", "continuous"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["structure"] in ("independent", "chain", "fork", "tree")
+        graph_edges = edges + [e for r in runs for e in zip(r, r[1:])]
+        expected = _paper_forest_energy(costs, graph_edges, deadline)
+        assert report["energy"] == pytest.approx(expected, rel=1e-12)
+        speeds = report["speeds"]
+        if shape == "chain":
+            assert len(set(speeds.values())) == 1
+        if shape == "independent":
+            assert speeds == {t: w / deadline for t, w in costs.items()}
 
 
 def test_spg_cost_composition():

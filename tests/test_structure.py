@@ -20,8 +20,7 @@ def test_independent_detection(build):
 
 def test_chain_detection(build):
     g = chain_graph(build, ["A", "B", "C"])
-    assert rc.detect_structure(g) == "chain"
-    assert rc.as_chain(g) == ["A", "B", "C"]
+    assert rc.recognise(g) == ("chain", (["A"], g.successors))
     # two tasks in a row are already a chain, not a fork
     assert rc.detect_structure(chain_graph(build, ["A", "B"])) == "chain"
 
@@ -33,8 +32,8 @@ def test_fork_detection_both_orientations(build):
         [["c"], ["x"], ["y"], ["z"]],
         5.0,
     )
-    assert rc.detect_structure(out_star) == "fork"
-    assert rc.as_fork(out_star) == ("c", ["x", "y", "z"])
+    assert rc.recognise(out_star) == ("fork", (["c"], out_star.successors))
+    assert out_star.successors["c"] == ("x", "y", "z")
 
     in_star = build(
         [("c", 1.0), ("x", 1.0), ("y", 1.0)],
@@ -42,8 +41,8 @@ def test_fork_detection_both_orientations(build):
         [["c"], ["x"], ["y"]],
         5.0,
     )
-    assert rc.detect_structure(in_star) == "fork"
-    assert rc.as_fork(in_star) == ("c", ["x", "y"])
+    assert rc.recognise(in_star) == ("fork", (["c"], in_star.predecessors))
+    assert in_star.predecessors["c"] == ("x", "y")
 
 
 def test_fork_energy_is_orientation_invariant(build):
@@ -112,8 +111,10 @@ def test_non_series_parallel_dag(build):
     assert rc.detect_structure(g) == "dag"
     assert rc.as_spg(g) is None
     assert rc.as_tree(g) is None
-    assert rc.as_fork(g) is None
-    assert rc.as_chain(g) is None
+    assert rc.as_forest(g) is None
+    for shape in ("independent", "chain", "fork", "tree"):
+        with pytest.raises(ValueError, match="instance is not"):
+            rc.recognise(g, shape)
 
 
 def test_detection_priority_prefers_the_most_specific(build):
@@ -160,8 +161,9 @@ def test_random_spgs_are_recognized(build):
 
 def test_recognise_returns_the_parsed_form(build):
     g = chain_graph(build, ["B", "A", "C"])
-    assert rc.recognise(g) == ("chain", ["B", "A", "C"])
-    assert rc.recognise(g, "tree")[1] == rc.as_tree(g)
+    assert rc.recognise(g) == ("chain", (["B"], g.successors))
+    assert rc.recognise(g, "tree") == ("tree", (["B"], g.successors))
+    assert rc.as_tree(g) == rc.TreeNode("B", 1.0, (rc.TreeNode("A", 1.0, (rc.TreeNode("C", 1.0),)),))
     assert rc.recognise(g, "dag") == ("dag", None)
     fork = build(
         [("c", 1.0), ("x", 1.0), ("y", 1.0)],
@@ -169,9 +171,15 @@ def test_recognise_returns_the_parsed_form(build):
         [["c"], ["x"], ["y"]],
         5.0,
     )
-    assert rc.recognise(fork) == ("fork", ("c", ["x", "y"]))
+    assert rc.recognise(fork) == ("fork", (["c"], fork.successors))
     loose = build([("b", 1.0), ("a", 1.0)], [], [["b"], ["a"]], 5.0)
-    assert rc.recognise(loose) == ("independent", ["a", "b"])
+    assert rc.recognise(loose) == ("independent", (["b", "a"], loose.successors))
+    # every forest label a graph has, most specific first
+    single = build([("a", 1.0)], [], [["a"]], 5.0)
+    assert rc.as_forest(single) == (("independent", "chain", "tree"), ["a"], single.successors)
+    pair = chain_graph(build, ["A", "B"])
+    assert rc.as_forest(pair)[0] == ("chain", "fork", "tree")
+    assert rc.as_forest(fork)[0] == ("fork", "tree")
     with pytest.raises(ValueError, match="not a chain"):
         rc.recognise(fork, "chain")
     with pytest.raises(ValueError, match="not an independent task set"):
