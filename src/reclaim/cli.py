@@ -273,12 +273,7 @@ def _solve_continuous(g: ExecutionGraph, args) -> tuple[str, Schedule, SolveRepo
         # The detected shape stays in the report.
         return shape, *cont.solve_dag(g, s_max)
 
-    if shape == "spg":
-        energy, per_task = cont.spg_speeds(form, g.deadline)
-    else:
-        roots, children = form
-        order = struct.forest_order(g, children)
-        energy, per_task = cont.solve_forest(g.costs, roots, children, order, g.deadline, s_max)
+    energy, per_task = cont.solve_sp(form, g.costs, g.deadline, s_max)
     return shape, *constant_schedule(g, per_task, {"closed_form_energy": energy})
 
 

@@ -1,21 +1,21 @@
 """Continuous-speed solvers.
 
-Two closed forms cover the graph classes where the optimum has a known
-shape: the paper's tree rule (bottom-up equivalent costs, speeds
-top-down) on forests, which include independent tasks, chains and
-fork/join stars, and the series-parallel rule. A log-barrier solver
-handles arbitrary DAGs. Constant per-task speed is optimal in this
-model, so every solver here returns one speed per task, and the
-power-profile helpers verify the flat-power signature of an interior
-optimum.
+One closed form covers the graph classes where the optimum has a known
+shape: forests (independent tasks, chains, fork/join stars and trees)
+and series-parallel graphs share one decomposition, and `solve_sp`
+applies the paper's rule to it (equivalent costs bottom-up, windows
+top-down). A log-barrier solver handles arbitrary DAGs. Constant
+per-task speed is optimal in this model, so every solver here returns
+one speed per task, and the power-profile helpers verify the flat-power
+signature of an interior optimum.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .graph import (
     ExecutionGraph,
     Schedule,
     SolveReport,
-    Task,
     constant_schedule,
     topological_order,
 )
@@ -50,99 +49,194 @@ class ContinuousModel:
 
 
 # ---------------------------------------------------------------------------
-# Forests: independent tasks, chains, fork/join stars and trees
+# Closed forms: one series-parallel decomposition, one solver
+#
+# A decomposition lists its nodes children first, each as (kind, members);
+# a member is a task id (a leaf) or the index of an earlier node, and the
+# last node is the root. A series node's members share one speed and a
+# parallel node's members share one window. Series members need no order,
+# since a schedule times the speeds ASAP, and only series nodes hold leaves.
+
+SERIES = "series"
+PARALLEL = "parallel"
+
+Decomposition = list[tuple[str, tuple]]
 
 
-def solve_forest(
+def decompose_forest(
+    roots: Sequence[str], children: Mapping[str, Sequence[str]], order: Sequence[str]
+) -> Decomposition:
+    """The decomposition of a forest.
+
+    ``children`` maps every task to its children and ``order`` lists
+    every task, each parent before its children. A task becomes
+    series(task) without children, series(task, child) with one and
+    series(task, parallel(children)) with several; several roots go
+    under one parallel node. Each task's node comes right after those of
+    the tasks that follow it in ``order``, so `solve_sp` visits the tasks
+    in ``order``.
+    """
+    sp: Decomposition = []
+    node: dict[str, int] = {}
+    for tid in reversed(order):
+        kids = children[tid]
+        if len(kids) > 1:
+            sp.append((PARALLEL, tuple(node[c] for c in kids)))
+            sp.append((SERIES, (tid, len(sp) - 1)))
+        elif kids:
+            sp.append((SERIES, (tid, node[kids[0]])))
+        else:
+            sp.append((SERIES, (tid,)))
+        node[tid] = len(sp) - 1
+    if len(roots) > 1:
+        sp.append((PARALLEL, tuple(node[r] for r in roots)))
+    return sp
+
+
+def _node_costs(sp: Decomposition, costs: Mapping[str, float]) -> list[float]:
+    # Bottom-up equivalent costs: a series node's is the sum of its
+    # members', a parallel node's the cube root of their summed cubes.
+    eq: list[float] = []
+    for kind, members in sp:
+        if kind == SERIES:
+            total = 0.0
+            for m in members:
+                total += eq[m] if type(m) is int else costs[m]
+            eq.append(total)
+        else:
+            eq.append(_cbrt(sum(eq[m] ** 3 for m in members)))
+    return eq
+
+
+def solve_sp(
+    sp: Decomposition,
     costs: Mapping[str, float],
-    roots: Sequence[str],
-    children: Mapping[str, Sequence[str]],
-    order: Sequence[str],
     deadline: float,
     s_max: float = math.inf,
 ) -> tuple[float, dict[str, float]]:
-    """Energy and per-task speeds of a forest by the paper's tree rule.
+    """Energy (the sum of cost * s^2) and per-task speeds of a decomposition.
 
-    ``children`` maps every task to its children and ``order`` lists
-    every task, each parent before its children. Bottom-up, a task's
-    equivalent cost is its own plus the cube root of its children's
-    summed cubes (a single child's equivalent cost as it is). Top-down, a
-    root gets rate eq / D and the whole window D. A task whose rate
-    stays under the cap runs at it and hands each child the same rate
-    scaled by the child's share; a task above the cap is pinned at s_max
-    and its children split what is left of its window as roots of their
-    own. Infeasible when a pinned task's work overruns its window.
+    Top-down, the root's window is the deadline. A series node with
+    window w runs at rate eq / w. Under the cap its leaves run at
+    min(rate, s_max) and each composite member gets the window
+    eq_member / rate at the same rate. Above the cap its leaves are pinned
+    at s_max in member order, each checked against what is left of the
+    window, and its composite members split the rest in proportion to
+    their equivalent costs. A parallel node gives each member its whole
+    window. Uncapped this is optimal on every series-parallel graph;
+    under a cap it is the paper's tree rule, exact when no series node
+    has two composite members, which holds for every forest.
     """
     _check_window(deadline)
-    eq, inner = _equivalent_costs(costs, children, order)
-    rate = {r: eq[r] / deadline for r in roots}
-    window = dict.fromkeys(roots, deadline)
+    eq = _node_costs(sp, costs)
+    window = [0.0] * len(sp)
+    # A member's rate is set when its parent knows it exactly; None means eq / window.
+    rate: list[float | None] = [None] * len(sp)
+    window[-1] = deadline
     speeds: dict[str, float] = {}
     energy = 0.0
-    for tid in order:
-        cost, r, kids = costs[tid], rate[tid], children[tid]
+    for i in range(len(sp) - 1, -1, -1):
+        kind, members = sp[i]
+        w, r = window[i], rate[i]
+        if kind == PARALLEL:
+            for m in members:
+                window[m] = w
+                if r is not None:
+                    rate[m] = r * (eq[m] / eq[i])
+            continue
+        if r is None:
+            r = eq[i] / w
         if r <= s_max * (1 + REL_TOL):
             s = min(r, s_max)
-            below = inner[tid]
-            for c in kids:
-                rate[c] = r * (eq[c] / below)
-                window[c] = below / r
-        else:
-            s = s_max
-            if cost / s_max > window[tid] * (1 + REL_TOL):
+            for m in members:
+                if type(m) is int:
+                    window[m] = eq[m] / r
+                    rate[m] = r
+                else:
+                    speeds[m] = s
+                    energy += costs[m] * s * s
+            continue
+        rest = w
+        parts = []
+        for m in members:
+            if type(m) is int:
+                parts.append(m)
+                continue
+            need = costs[m] / s_max
+            if need > rest * (1 + REL_TOL):
                 raise InfeasibleError(
-                    f"task {tid!r}: work {cost} at cap {s_max:g} "
-                    f"misses its window {window[tid]:g}"
+                    f"task {m!r}: work {costs[m]} at cap {s_max:g} misses its window {rest:g}"
                 )
-            rest = window[tid] - cost / s_max
-            if kids and rest <= 0:
-                raise InfeasibleError(f"no execution window left at task {kids[0]!r}")
-            for c in kids:
-                rate[c] = eq[c] / rest
-                window[c] = rest
-        speeds[tid] = s
-        energy += cost * s * s
+            rest -= need
+            speeds[m] = s_max
+            energy += costs[m] * s_max * s_max
+        if parts and rest <= 0:
+            raise InfeasibleError(f"no execution window left at task {_head(sp, parts[0])!r}")
+        total = sum(eq[m] for m in parts)
+        for m in parts:
+            window[m] = rest * (eq[m] / total)
     return energy, speeds
 
 
-def _equivalent_costs(
-    costs: Mapping[str, float], children: Mapping[str, Sequence[str]], order: Sequence[str]
-) -> tuple[dict[str, float], dict[str, float]]:
-    # Bottom-up: every task's equivalent cost, and the combined equivalent
-    # cost of its children (its inner cost).
-    eq: dict[str, float] = {}
-    inner: dict[str, float] = {}
-    for tid in reversed(order):
-        kids = children[tid]
-        if len(kids) == 1:
-            below = eq[kids[0]]
-        elif kids:
-            below = _cbrt(sum(eq[c] ** 3 for c in kids))
-        else:
-            below = 0.0
-        inner[tid] = below
-        eq[tid] = costs[tid] + below
-    return eq, inner
+def _head(sp: Decomposition, i: int) -> str:
+    # The first task of node i, to name in a message.
+    while type(i) is int:
+        i = sp[i][1][0]
+    return i
+
+
+def _check_window(deadline: float) -> None:
+    if not deadline > 0:
+        raise InfeasibleError(f"deadline must be positive, got {deadline}")
+
+
+def spg_cost(sp: Decomposition, costs: Mapping[str, float]) -> float:
+    """Equivalent cost of a decomposition: sums in series, cube roots of
+    summed cubes in parallel."""
+    return _node_costs(sp, costs)[-1]
+
+
+def solve_spg(
+    sp: Decomposition, costs: Mapping[str, float], deadline: float, s_max: float = math.inf
+) -> float:
+    """Optimal energy of a series-parallel graph, uncapped speeds only."""
+    if math.isfinite(s_max):
+        raise UnsupportedError(
+            "series-parallel closed form requires an uncapped speed model; "
+            "route the instance to the general DAG solver instead"
+        )
+    return solve_sp(sp, costs, deadline)[0]
+
+
+def _solve_listed(
+    costs: Sequence[float],
+    children: Mapping[int, Sequence[int]],
+    roots: Sequence[int],
+    deadline: float,
+    s_max: float,
+) -> tuple[list[float], float]:
+    # A forest of tasks named after their list positions, each parent
+    # listed before its children; speeds come back in list order.
+    ids = [str(k) for k in range(len(costs))]
+    kids = {tid: [ids[c] for c in children.get(k, ())] for k, tid in enumerate(ids)}
+    sp = decompose_forest([ids[r] for r in roots], kids, ids)
+    energy, speeds = solve_sp(sp, dict(zip(ids, costs)), deadline, s_max)
+    return [speeds[tid] for tid in ids], energy
 
 
 def solve_independent(
     costs: Sequence[float], deadline: float, s_max: float = math.inf
 ) -> tuple[list[float], float]:
     """Each task gets the whole window: s_i = w_i / D."""
-    ids = range(len(costs))
-    energy, speeds = solve_forest(
-        dict(enumerate(costs)), ids, dict.fromkeys(ids, ()), ids, deadline, s_max
-    )
-    return [speeds[i] for i in ids], energy
+    return _solve_listed(costs, {}, range(len(costs)), deadline, s_max)
 
 
 def solve_chain(
     costs: Sequence[float], deadline: float, s_max: float = math.inf
 ) -> tuple[float, float]:
     """A chain behaves like one task of the summed cost: s = W / D."""
-    ids = range(len(costs))
-    children = {i: ids[i + 1:i + 2] for i in ids}
-    energy, speeds = solve_forest(dict(enumerate(costs)), ids[:1], children, ids, deadline, s_max)
+    children = {k: (k + 1,) for k in range(len(costs) - 1)}
+    speeds, energy = _solve_listed(costs, children, [0], deadline, s_max)
     return speeds[0], energy
 
 
@@ -154,16 +248,8 @@ def solve_fork_join(
 ) -> tuple[list[float], float]:
     """Root task followed by independent branches (or the time-mirrored
     join); speeds come root first, then the branches in order."""
-    ids = range(len(branch_costs) + 1)
-    children = {0: ids[1:], **dict.fromkeys(ids[1:], ())}
-    costs = dict(enumerate([root_cost, *branch_costs]))
-    energy, speeds = solve_forest(costs, ids[:1], children, ids, deadline, s_max)
-    return [speeds[i] for i in ids], energy
-
-
-def _check_window(deadline: float) -> None:
-    if not deadline > 0:
-        raise InfeasibleError(f"deadline must be positive, got {deadline}")
+    children = {0: range(1, len(branch_costs) + 1)}
+    return _solve_listed([root_cost, *branch_costs], children, [0], deadline, s_max)
 
 
 @dataclass(frozen=True)
@@ -173,9 +259,8 @@ class TreeNode:
     children: tuple["TreeNode", ...] = ()
 
 
-def _tree_tables(root: TreeNode) -> tuple[dict, dict, list[str]]:
-    # Costs, child ids and a parents-first order of a TreeNode tree;
-    # iterative, since fixture trees reach 10^4 nodes.
+def _tree_decomposition(root: TreeNode) -> tuple[Decomposition, dict[str, float]]:
+    # Iterative, since fixture trees reach 10^4 nodes.
     costs: dict[str, float] = {}
     children: dict[str, list[str]] = {}
     order: list[str] = []
@@ -186,148 +271,21 @@ def _tree_tables(root: TreeNode) -> tuple[dict, dict, list[str]]:
         costs[node.id] = node.cost
         children[node.id] = [c.id for c in node.children]
         stack.extend(node.children)
-    return costs, children, order
+    return decompose_forest([root.id], children, order), costs
 
 
 def tree_eq_cost(root: TreeNode) -> float:
     """Equivalent cost: leaves keep their own, a parent adds its cost to
     the cube-root of the sum of cubed child costs."""
-    costs, children, order = _tree_tables(root)
-    return _equivalent_costs(costs, children, order)[0][root.id]
+    return spg_cost(*_tree_decomposition(root))
 
 
 def solve_tree(
     root: TreeNode, deadline: float, s_max: float = math.inf
 ) -> tuple[float, dict[str, float]]:
-    """Energy and per-task speeds for a rooted tree (see solve_forest)."""
-    costs, children, order = _tree_tables(root)
-    return solve_forest(costs, [root.id], children, order, deadline, s_max)
-
-
-# ---------------------------------------------------------------------------
-# Series-parallel graphs
-
-
-@dataclass(frozen=True)
-class Elementary:
-    """Two tasks joined by a single edge; the smallest SPG."""
-
-    source: Task
-    sink: Task
-
-    def __post_init__(self):
-        if self.source.id == self.sink.id:
-            raise ValueError("an elementary graph needs two distinct tasks")
-
-
-@dataclass(frozen=True)
-class Series:
-    """Left's sink merged with right's source."""
-
-    left: "SpgNode"
-    right: "SpgNode"
-    source: Task = field(init=False, compare=False)
-    sink: Task = field(init=False, compare=False)
-
-    def __post_init__(self):
-        if self.left.sink != self.right.source:
-            raise ValueError(
-                f"series composition needs matching junction tasks, got "
-                f"{self.left.sink.id!r} then {self.right.source.id!r}"
-            )
-        object.__setattr__(self, "source", self.left.source)
-        object.__setattr__(self, "sink", self.right.sink)
-
-
-@dataclass(frozen=True)
-class Parallel:
-    """Both operands share their source task and their sink task."""
-
-    left: "SpgNode"
-    right: "SpgNode"
-    source: Task = field(init=False, compare=False)
-    sink: Task = field(init=False, compare=False)
-
-    def __post_init__(self):
-        if self.left.source != self.right.source or self.left.sink != self.right.sink:
-            raise ValueError("parallel composition needs shared source and sink tasks")
-        object.__setattr__(self, "source", self.left.source)
-        object.__setattr__(self, "sink", self.right.sink)
-
-
-SpgNode = Union[Elementary, Series, Parallel]
-
-
-def spg_cost(root: SpgNode) -> float:
-    """Equivalent cost of a series-parallel graph.
-
-    Interior cost composes by summation in series (the shared junction
-    task counted once) and by cube-root-of-cube-sums in parallel; the
-    endpoints' own costs are added back once at the top.
-    """
-    return root.source.cost + _inner_costs(root)[id(root)] + root.sink.cost
-
-
-def _inner_costs(root: SpgNode) -> dict[int, float]:
-    # Interior cost of every composition node, keyed by id(node).
-    # Post-order over the composition tree, iterative for depth safety.
-    out: list[SpgNode] = []
-    stack: list[SpgNode] = [root]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if isinstance(node, (Series, Parallel)):
-            stack.append(node.left)
-            stack.append(node.right)
-    inner: dict[int, float] = {}
-    for node in reversed(out):
-        if isinstance(node, Elementary):
-            inner[id(node)] = 0.0
-        elif isinstance(node, Series):
-            inner[id(node)] = (
-                inner[id(node.left)] + node.left.sink.cost + inner[id(node.right)]
-            )
-        else:
-            inner[id(node)] = _cbrt(inner[id(node.left)] ** 3 + inner[id(node.right)] ** 3)
-    return inner
-
-
-def solve_spg(root: SpgNode, deadline: float, s_max: float = math.inf) -> float:
-    """Optimal energy of a series-parallel graph, uncapped speeds only."""
-    if math.isfinite(s_max):
-        raise UnsupportedError(
-            "series-parallel closed form requires an uncapped speed model; "
-            "route the instance to the general DAG solver instead"
-        )
-    return spg_speeds(root, deadline)[0]
-
-
-def spg_speeds(root: SpgNode, deadline: float) -> tuple[float, dict[str, float]]:
-    """Optimal uncapped energy and per-task speeds of a series-parallel graph.
-
-    The source and sink run at spg_cost / D, and the interior gets the
-    rest of the window. Windows then split top-down: a series node with
-    window d runs its junction task at inner / d and gives each operand
-    the time its own inner cost takes at that speed; a parallel node
-    gives both operands the whole window d.
-    """
-    _check_window(deadline)
-    inner = _inner_costs(root)
-    total = root.source.cost + inner[id(root)] + root.sink.cost
-    outer = total / deadline
-    speeds = {root.source.id: outer, root.sink.id: outer}
-    stack: list[tuple[SpgNode, float]] = [(root, deadline * inner[id(root)] / total)]
-    while stack:
-        node, window = stack.pop()
-        if isinstance(node, Series):
-            s = inner[id(node)] / window
-            speeds[node.left.sink.id] = s
-            stack.append((node.left, inner[id(node.left)] / s))
-            stack.append((node.right, inner[id(node.right)] / s))
-        elif isinstance(node, Parallel):
-            stack.append((node.left, window))
-            stack.append((node.right, window))
-    return total**3 / deadline**2, speeds
+    """Energy and per-task speeds for a rooted tree (see solve_sp)."""
+    sp, costs = _tree_decomposition(root)
+    return solve_sp(sp, costs, deadline, s_max)
 
 
 # ---------------------------------------------------------------------------

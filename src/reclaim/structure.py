@@ -1,8 +1,8 @@
 """Shape detection for execution graphs.
 
-The two closed forms each demand a topology: a forest or a two-terminal
-series-parallel graph. This module recognizes them on an arbitrary
-execution graph and converts to the solver's input. Mirrored shapes (a
+The closed form needs a forest or a two-terminal series-parallel graph.
+This module recognizes both on an arbitrary execution graph and emits
+the one decomposition `continuous.solve_sp` takes. Mirrored shapes (a
 join, an in-tree) are forests whose children are the predecessors:
 reversing time changes neither durations nor energy, so the forward
 speeds apply verbatim.
@@ -11,10 +11,9 @@ speeds apply verbatim.
 from __future__ import annotations
 
 import heapq
-from typing import Sequence
 
-from .continuous import Elementary, Parallel, Series, SpgNode, TreeNode
-from .graph import ExecutionGraph, Task
+from .continuous import PARALLEL, SERIES, Decomposition, TreeNode, decompose_forest
+from .graph import ExecutionGraph
 
 STRUCTURES = ("independent", "chain", "fork", "tree", "spg", "dag")
 
@@ -27,25 +26,25 @@ _NOT_A = {
 }
 
 
-def recognise(g: ExecutionGraph, shape: str | None = None) -> tuple[str, object]:
-    """The graph's shape label together with its parsed form.
+def recognise(g: ExecutionGraph, shape: str | None = None) -> tuple[str, Decomposition | None]:
+    """The graph's shape label together with its decomposition.
 
-    The form is (roots, children) from `as_forest` for the four forest
-    labels, an SpgNode for 'spg' and None for 'dag'. Without ``shape``
-    the most specific shape wins, falling back to 'dag'; with it, only
-    that shape is parsed, and ValueError says when the graph lacks it.
+    The decomposition comes from `as_forest` for the four forest labels
+    and from `as_spg` for 'spg'; 'dag' has none. Without ``shape`` the
+    most specific shape wins, falling back to 'dag'; with it, only that
+    shape is parsed, and ValueError says when the graph lacks it.
     """
     if shape == "dag":
         return "dag", None
     if shape != "spg":
         forest = as_forest(g)
         if forest is not None and (shape is None or shape in forest[0]):
-            labels, roots, children = forest
-            return shape or labels[0], (roots, children)
+            labels, sp = forest
+            return shape or labels[0], sp
     if shape in (None, "spg"):
-        node = as_spg(g)
-        if node is not None:
-            return "spg", node
+        sp = as_spg(g)
+        if sp is not None:
+            return "spg", sp
     if shape:
         raise ValueError(f"instance is not {_NOT_A[shape]}")
     return "dag", None
@@ -56,10 +55,8 @@ def detect_structure(g: ExecutionGraph) -> str:
     return recognise(g)[0]
 
 
-def as_forest(
-    g: ExecutionGraph,
-) -> tuple[tuple[str, ...], list[str], dict[str, tuple[str, ...]]] | None:
-    """(labels, roots, children) when the graph is a forest shape, or None.
+def as_forest(g: ExecutionGraph) -> tuple[tuple[str, ...], Decomposition] | None:
+    """(labels, decomposition) when the graph is a forest shape, or None.
 
     An out-forest (every task has at most one predecessor) has
     ``g.successors`` as its children; an in-forest (at most one
@@ -68,7 +65,8 @@ def as_forest(
     specific first: no edges makes an independent set, and one root a
     tree, which is a chain when no task has two children and a fork when
     the root is every other task's parent. Several roots joined by edges
-    make no forest shape.
+    make no forest shape. The decomposition walks the topological order,
+    reversed for an in-forest, so that every parent precedes its children.
     """
     n = len(g.tasks)
     for parents, children in ((g.predecessors, g.successors), (g.successors, g.predecessors)):
@@ -83,15 +81,9 @@ def as_forest(
                 labels += ("fork",)
             labels += ("tree",)
         if labels:
-            return labels, roots, children
+            order = g.topo_order if children is g.successors else g.topo_order[::-1]
+            return labels, decompose_forest(roots, children, order)
     return None
-
-
-def forest_order(g: ExecutionGraph, children: dict[str, tuple[str, ...]]) -> Sequence[str]:
-    """Every task of a forest from `as_forest`, each parent before its
-    children: topological order for an out-forest, its reverse for an
-    in-forest."""
-    return g.topo_order if children is g.successors else g.topo_order[::-1]
 
 
 def as_tree(g: ExecutionGraph) -> TreeNode | None:
@@ -100,22 +92,30 @@ def as_tree(g: ExecutionGraph) -> TreeNode | None:
     forest = as_forest(g)
     if forest is None or "tree" not in forest[0]:
         return None
-    _, (root,), children = forest
-    # Build bottom-up so no recursion depth binds the tree size.
-    nodes: dict[str, TreeNode] = {}
-    for tid in reversed(forest_order(g, children)):
-        kids = tuple(nodes[c] for c in children[tid])
-        nodes[tid] = TreeNode(id=tid, cost=g.costs[tid], children=kids)
-    return nodes[root]
+    # A task's node is series(task), series(task, child) or
+    # series(task, parallel(children)); each node stands for a tuple of
+    # subtrees, one for a task and one per child for a parallel node.
+    subtrees: list[tuple[TreeNode, ...]] = []
+    for kind, members in forest[1]:
+        if kind == PARALLEL:
+            subtrees.append(tuple(t for m in members for t in subtrees[m]))
+        else:
+            tid, *below = members
+            kids = subtrees[below[0]] if below else ()
+            subtrees.append((TreeNode(tid, g.costs[tid], kids),))
+    return subtrees[-1][0]
 
 
-def as_spg(g: ExecutionGraph) -> SpgNode | None:
+def as_spg(g: ExecutionGraph) -> Decomposition | None:
     """Decompose a two-terminal series-parallel graph, or return None.
 
     Standard confluent reduction: merge duplicate edges into parallel
     compositions, splice out interior nodes of in- and out-degree one
     into series compositions, and succeed when a single source-to-sink
-    edge remains.
+    edge remains. Each edge carries the node of the tasks strictly
+    between its ends (a bare edge has none): a splice at x makes
+    series(I_in, x, I_out), a merge the parallel node of the non-empty
+    interiors, and the graph is series(source, I, sink).
     """
     n = len(g.tasks)
     if n < 2 or not g.edges:
@@ -126,23 +126,29 @@ def as_spg(g: ExecutionGraph) -> SpgNode | None:
         return None
     src, snk = sources[0], sinks[0]
 
-    frag: dict[int, SpgNode] = {}
+    sp: Decomposition = []
+
+    def node(kind: str, members: list) -> int:
+        sp.append((kind, tuple(members)))
+        return len(sp) - 1
+
+    inner: dict[int, int | None] = {}
     head: dict[int, str] = {}
     tail: dict[int, str] = {}
     out_eids: dict[str, set[int]] = {t.id: set() for t in g.tasks}
     in_eids: dict[str, set[int]] = {t.id: set() for t in g.tasks}
     for eid, (u, v) in enumerate(sorted(g.edges)):
-        frag[eid] = Elementary(Task(u, g.costs[u]), Task(v, g.costs[v]))
+        inner[eid] = None
         head[eid], tail[eid] = u, v
         out_eids[u].add(eid)
         in_eids[v].add(eid)
-    next_eid = len(frag)
+    next_eid = len(inner)
 
     def pair_key(eid: int) -> tuple[str, str]:
         return head[eid], tail[eid]
 
     pairs: dict[tuple[str, str], list[int]] = {}
-    for eid in frag:
+    for eid in inner:
         pairs.setdefault(pair_key(eid), []).append(eid)
 
     def drop(eid: int) -> None:
@@ -150,13 +156,13 @@ def as_spg(g: ExecutionGraph) -> SpgNode | None:
         in_eids[tail[eid]].discard(eid)
         bucket = pairs[pair_key(eid)]
         bucket.remove(eid)
-        del frag[eid], head[eid], tail[eid]
+        del inner[eid], head[eid], tail[eid]
 
-    def add(u: str, v: str, node: SpgNode) -> int:
+    def add(u: str, v: str, interior: int | None) -> int:
         nonlocal next_eid
         eid = next_eid
         next_eid += 1
-        frag[eid] = node
+        inner[eid] = interior
         head[eid], tail[eid] = u, v
         out_eids[u].add(eid)
         in_eids[v].add(eid)
@@ -181,15 +187,13 @@ def as_spg(g: ExecutionGraph) -> SpgNode | None:
     while series_ready or parallel_ready:
         while parallel_ready:
             key = parallel_ready.pop()
-            bucket = pairs.get(key, [])
-            while len(bucket) > 1:
-                a, b = sorted(bucket[:2])
-                node = Parallel(frag[a], frag[b])
-                u, v = key
-                drop(a)
-                drop(b)
-                add(u, v, node)
-                bucket = pairs.get(key, [])
+            bucket = sorted(pairs.get(key, []))
+            if len(bucket) > 1:
+                parts = [inner[eid] for eid in bucket if inner[eid] is not None]
+                for eid in bucket:
+                    drop(eid)
+                merged = node(PARALLEL, parts) if len(parts) > 1 else parts[0] if parts else None
+                add(*key, merged)
             # Removing parallel edges can enable a series splice.
             for tid in key:
                 mark_series(tid)
@@ -202,17 +206,18 @@ def as_spg(g: ExecutionGraph) -> SpgNode | None:
         (e_in,) = in_eids[x]
         (e_out,) = out_eids[x]
         u, v = head[e_in], tail[e_out]
-        node = Series(frag[e_in], frag[e_out])
+        parts = [m for m in (inner[e_in], x, inner[e_out]) if m is not None]
         drop(e_in)
         drop(e_out)
-        add(u, v, node)
+        add(u, v, node(SERIES, parts))
         if len(pairs[(u, v)]) > 1:
             parallel_ready.add((u, v))
         for tid in (u, v):
             mark_series(tid)
 
-    if len(frag) == 1:
-        (eid,) = frag
+    if len(inner) == 1:
+        ((eid, interior),) = inner.items()
         if head[eid] == src and tail[eid] == snk:
-            return frag[eid]
+            node(SERIES, [m for m in (src, interior, snk) if m is not None])
+            return sp
     return None

@@ -153,6 +153,65 @@ def suffix_walk_search(order, costs, edges, deadline, speeds, budget, rel_tol=1e
     return out
 
 
+class TreeRuleInfeasible(Exception):
+    """Raised by `tree_rule` where the package raises InfeasibleError."""
+
+
+def tree_rule(costs, roots, children, order, deadline, s_max=math.inf, rel_tol=1e-9):
+    """The paper's tree rule walked over a forest's own tables.
+
+    `children` maps every task to its children and `order` lists every
+    task, each parent before its children. Bottom-up, a task's equivalent
+    cost is its own plus the cube root of its children's summed cubes (a
+    single child's as it is). Top-down, a root gets rate eq / D and window
+    D; a task at most `s_max * (1 + rel_tol)` runs at min(rate, s_max) and
+    gives each child the rate scaled by the child's share of its inner
+    cost; a faster one is pinned at `s_max` and its children split what
+    is left of its window. Returns (energy, speeds) or raises
+    TreeRuleInfeasible with the package's message, at the first task in
+    `order` that misses its window.
+    """
+    if not deadline > 0:
+        raise TreeRuleInfeasible(f"deadline must be positive, got {deadline}")
+    eq, inner = {}, {}
+    for tid in reversed(order):
+        kids = children[tid]
+        if len(kids) == 1:
+            below = eq[kids[0]]
+        elif kids:
+            below = sum(eq[c] ** 3 for c in kids) ** (1.0 / 3.0)
+        else:
+            below = 0.0
+        inner[tid] = below
+        eq[tid] = costs[tid] + below
+    rate = {r: eq[r] / deadline for r in roots}
+    window = dict.fromkeys(roots, deadline)
+    speeds, energy = {}, 0.0
+    for tid in order:
+        cost, r, kids = costs[tid], rate[tid], children[tid]
+        if r <= s_max * (1 + rel_tol):
+            s = min(r, s_max)
+            for c in kids:
+                rate[c] = r * (eq[c] / inner[tid])
+                window[c] = inner[tid] / r
+        else:
+            s = s_max
+            if cost / s_max > window[tid] * (1 + rel_tol):
+                raise TreeRuleInfeasible(
+                    f"task {tid!r}: work {cost} at cap {s_max:g} "
+                    f"misses its window {window[tid]:g}"
+                )
+            rest = window[tid] - cost / s_max
+            if kids and rest <= 0:
+                raise TreeRuleInfeasible(f"no execution window left at task {kids[0]!r}")
+            for c in kids:
+                rate[c] = eq[c] / rest
+                window[c] = rest
+        speeds[tid] = s
+        energy += cost * s * s
+    return energy, speeds
+
+
 def subset_sum_half(values):
     """True iff some subset of `values` sums to exactly half the total."""
     total = sum(values)

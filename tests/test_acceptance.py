@@ -153,7 +153,7 @@ def test_criterion_06_closed_forms_against_the_numeric_solver():
         g = build([(i, costs[i]) for i in ids], edges, [[i] for i in ids], deadline)
         node = rc.as_spg(g)
         assert node is not None
-        spg_energy = rc.solve_spg(node, deadline)
+        spg_energy = rc.solve_spg(node, g.costs, deadline)
         _, report = rc.solve_dag(g, math.inf)
         assert spg_energy == pytest.approx(report.energy, rel=1e-5)
 
@@ -265,26 +265,6 @@ def _tree_from_plain(data):
     return built[id(data)]
 
 
-def _spg_from_plain(data, costs):
-    tasks = {i: rc.Task(i, c) for i, c in costs.items()}
-    order = []
-    stack = [data]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node["children"])
-    built = {}
-    for node in reversed(order):
-        if node["kind"] == "elem":
-            made = rc.Elementary(tasks[node["source"]], tasks[node["sink"]])
-        else:
-            a, b = node["children"]
-            pair = (built[id(a)], built[id(b)])
-            made = rc.Series(*pair) if node["kind"] == "series" else rc.Parallel(*pair)
-        built[id(node)] = made
-    return built[id(data)]
-
-
 def test_criterion_10_large_instances_are_fast():
     """10,000-node tree and 10,000-task SPG each solve in < 5 s."""
     rng = random.Random(271828)
@@ -298,9 +278,11 @@ def test_criterion_10_large_instances_are_fast():
     assert tree_elapsed < 5.0
 
     data, costs = support.random_spg(rng, 10_000)
-    node = _spg_from_plain(data, costs)
+    ids = sorted(costs)
+    g = build([(i, costs[i]) for i in ids], sorted(support.spg_edges(data)),
+              [[i] for i in ids], 500.0)
     t0 = time.perf_counter()
-    energy = rc.solve_spg(node, 500.0)
+    energy = rc.solve_spg(rc.as_spg(g), g.costs, 500.0)
     spg_elapsed = time.perf_counter() - t0
     assert energy > 0
     assert spg_elapsed < 5.0

@@ -238,6 +238,17 @@ NESTING_INSTANCES = {
     "spg": ({"s": 1.0, "a": 2.0, "b": 2.0, "t": 1.0},
             [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")]),
     "dag": ({"a": 2.0, "b": 1.0, "c": 3.0, "d": 1.5}, [("a", "c"), ("b", "c"), ("b", "d")]),
+    # K2,2 between one source and one sink
+    "k22": ({"s": 1.0, "a": 2.0, "b": 1.5, "c": 1.0, "d": 2.5, "t": 1.0},
+            [("s", "a"), ("s", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+             ("c", "t"), ("d", "t")]),
+    # the chain s -> a -> b -> t with the crossing edges a -> t and s -> b
+    "crossed-chain": ({"s": 1.0, "a": 2.0, "b": 1.5, "t": 1.0},
+                      [("s", "a"), ("a", "b"), ("b", "t"), ("a", "t"), ("s", "b")]),
+    # r -> a -> c plus the edge r -> c
+    "triangle": ({"r": 1.0, "a": 2.0, "c": 1.5}, [("r", "a"), ("a", "c"), ("r", "c")]),
+    "two-out-trees": ({"r": 1.0, "a": 2.0, "b": 1.5, "q": 1.0, "c": 2.5, "d": 0.5},
+                      [("r", "a"), ("r", "b"), ("q", "c"), ("q", "d")]),
 }
 
 # `solve --model continuous --structure X`, uncapped, for X in
@@ -255,6 +266,10 @@ NESTING = {
     "two-component": ("dag", "exit 1", "exit 1", "exit 1", "exit 1", "exit 1", "dag"),
     "spg": ("spg", "exit 1", "exit 1", "exit 1", "exit 1", "spg", "dag"),
     "dag": ("dag", "exit 1", "exit 1", "exit 1", "exit 1", "exit 1", "dag"),
+    "k22": ("dag", "exit 1", "exit 1", "exit 1", "exit 1", "exit 1", "dag"),
+    "crossed-chain": ("dag", "exit 1", "exit 1", "exit 1", "exit 1", "exit 1", "dag"),
+    "triangle": ("spg", "exit 1", "exit 1", "exit 1", "exit 1", "spg", "dag"),
+    "two-out-trees": ("dag", "exit 1", "exit 1", "exit 1", "exit 1", "exit 1", "dag"),
 }
 
 

@@ -120,22 +120,30 @@ def test_tree_agrees_with_numeric_solver(build):
         assert all(s <= s_max * (1 + 1e-9) for s in speeds.values())
 
 
-def _forest_instance(rng, shape):
+def _forest_instance(rng, shape, shuffled=False):
     """(costs, precedence, run lists) of a small forest of the given shape,
-    each task on its own processor (a chain on one)."""
+    each task on its own processor (a chain on one). ``shuffled`` hands
+    the ids out in random order, so topological order differs from the
+    order the tasks were drawn in."""
     n = rng.randint(1, 12) if shape == "independent" else rng.randint(2, 12)
     ids = [f"T{k:02d}" for k in range(n)]
+    if shuffled:
+        rng.shuffle(ids)
     costs = {t: rng.uniform(0.5, 3.0) for t in ids}
     runs = [[t] for t in ids]
     if shape in ("out-tree", "in-tree"):
         edges = [(ids[rng.randrange(k)], ids[k]) for k in range(1, n)]
+    elif shape in ("out-forest", "in-forest"):
+        edges = [(ids[rng.randrange(k)], ids[k]) for k in range(1, n) if rng.random() < 0.7]
     elif shape in ("fork", "join"):
         edges = [(ids[0], t) for t in ids[1:]]
+    elif shape == "chain-by-precedence":
+        edges = list(zip(ids, ids[1:]))
     else:
         edges = []
         if shape == "chain":
             runs = [ids]
-    if shape in ("in-tree", "join"):
+    if shape in ("in-tree", "in-forest", "join"):
         edges = [(v, u) for u, v in edges]
     return costs, edges, runs
 
@@ -185,31 +193,90 @@ def test_forest_rule_matches_the_paper_formula(tmp_path, capsys, shape):
             assert speeds == {t: w / deadline for t, w in costs.items()}
 
 
-def test_spg_cost_composition():
-    src, snk, mid = rc.Task("s", 2.0), rc.Task("t", 3.0), rc.Task("m", 1.5)
-    single = rc.Elementary(src, snk)
-    assert rc.spg_cost(single) == 5.0
-    two = rc.Series(rc.Elementary(src, mid), rc.Elementary(mid, snk))
-    assert rc.spg_cost(two) == 6.5
-    both = rc.Parallel(
-        rc.Series(rc.Elementary(src, mid), rc.Elementary(mid, snk)),
-        rc.Elementary(src, snk),
-    )
+def _forest_tables(g):
+    # (roots, children, order) of a forest graph: children along the
+    # edges of an out-forest and against them in an in-forest, every
+    # parent ordered before its children.
+    out = all(len(p) <= 1 for p in g.predecessors.values())
+    parents, children = (g.predecessors, g.successors) if out else (g.successors, g.predecessors)
+    order = g.topo_order if out else g.topo_order[::-1]
+    return [t for t in order if not parents[t]], children, order
+
+
+@pytest.mark.parametrize("shape", ["out-tree", "in-tree", "chain", "chain-by-precedence", "fork",
+                                   "join", "independent", "out-forest", "in-forest"])
+def test_forest_solver_matches_the_tree_rule(build, shape):
+    # The one closed form against support.tree_rule, the forest solver it
+    # replaced, uncapped, under a binding cap and under an infeasible cap.
+    rng = random.Random(sum(map(ord, shape)) + 1)
+    raised = 0
+    for _ in range(25):
+        costs, edges, runs = _forest_instance(rng, shape, shuffled=True)
+        deadline = rng.uniform(0.5, 4.0)
+        g = build(list(costs.items()), edges, runs, deadline)
+        roots, children, order = _forest_tables(g)
+        forest = rc.as_forest(g)
+        if len(roots) > 1 and g.edges:
+            # several roots joined by edges are no forest label, but the
+            # decomposition of their tables still solves
+            assert forest is None
+            sp = rc.decompose_forest(roots, children, order)
+        else:
+            sp = forest[1]
+        path = {}
+        for t in order:
+            path[t] = path.get(t, 0.0) + g.costs[t]
+            for c in children[t]:
+                path[c] = path[t]
+        low = max(path.values()) / deadline  # the lowest feasible cap
+        top = max(support.tree_rule(g.costs, roots, children, order, deadline)[1].values())
+        for s_max in (math.inf, low + 0.5 * (top - low), 0.9 * low):
+            try:
+                energy, speeds = support.tree_rule(g.costs, roots, children, order, deadline, s_max)
+            except support.TreeRuleInfeasible as exc:
+                raised += 1
+                with pytest.raises(rc.InfeasibleError) as err:
+                    rc.solve_sp(sp, g.costs, deadline, s_max)
+                assert str(err.value) == str(exc)
+                continue
+            got_energy, got = rc.solve_sp(sp, g.costs, deadline, s_max)
+            assert got_energy == pytest.approx(energy, rel=1e-12)
+            assert got.keys() == speeds.keys()
+            for t, s in got.items():
+                assert s == pytest.approx(speeds[t], rel=1e-12)
+    assert raised >= 25
+
+
+def test_forest_solver_names_the_task_left_without_a_window():
+    # The root fills the whole window at the cap, so nothing is left for x.
+    root = rc.TreeNode("r", 1.0, (rc.TreeNode("x", 1.0), rc.TreeNode("y", 1.0)))
+    with pytest.raises(rc.InfeasibleError, match="no execution window left at task 'x'"):
+        rc.solve_tree(root, 1.0, 1.0)
+    with pytest.raises(support.TreeRuleInfeasible, match="no execution window left at task 'x'"):
+        support.tree_rule({"r": 1.0, "x": 1.0, "y": 1.0}, ["r"], {"r": ("x", "y"), "x": (), "y": ()},
+                          ["r", "x", "y"], 1.0, 1.0)
+
+
+def _two_or_three_tasks(build, edges):
+    # s (2.0) -> t (3.0), with m (1.5) between them when the edges name it.
+    tasks = [("s", 2.0), ("t", 3.0), ("m", 1.5)]
+    tasks = [t for t in tasks if any(t[0] in e for e in edges)]
+    return build(tasks, edges, [[t] for t, _ in tasks], 5.0)
+
+
+def test_spg_cost_composition(build):
+    single = _two_or_three_tasks(build, [("s", "t")])
+    assert rc.spg_cost(rc.as_spg(single), single.costs) == 5.0
+    two = _two_or_three_tasks(build, [("s", "m"), ("m", "t")])
+    assert rc.spg_cost(rc.as_spg(two), two.costs) == 6.5
+    both = _two_or_three_tasks(build, [("s", "m"), ("m", "t"), ("s", "t")])
     # parallel inner cost: cbrt(1.5^3 + 0^3) = 1.5 again
-    assert rc.spg_cost(both) == pytest.approx(6.5, rel=1e-12)
+    assert rc.spg_cost(rc.as_spg(both), both.costs) == pytest.approx(6.5, rel=1e-12)
 
 
-def test_spg_composition_rules_are_enforced():
-    a, b, c, d = (rc.Task(x, 1.0) for x in "abcd")
-    with pytest.raises(ValueError):
-        rc.Series(rc.Elementary(a, b), rc.Elementary(c, d))  # no shared joint
-    with pytest.raises(ValueError):
-        rc.Parallel(rc.Elementary(a, b), rc.Elementary(a, c))  # sinks differ
-
-
-def test_spg_energy_frozen_case():
-    g = rc.Elementary(rc.Task("s", 2.0), rc.Task("t", 3.0))
-    assert rc.solve_spg(g, 2.5) == pytest.approx(125.0 / 6.25, rel=1e-12)
+def test_spg_energy_frozen_case(build):
+    g = _two_or_three_tasks(build, [("s", "t")])
+    assert rc.solve_spg(rc.as_spg(g), g.costs, 2.5) == pytest.approx(125.0 / 6.25, rel=1e-12)
 
 
 def test_spg_speeds_split_the_window(build):
@@ -222,7 +289,7 @@ def test_spg_speeds_split_the_window(build):
         5.0,
     )
     node = rc.as_spg(g)
-    energy, speeds = rc.spg_speeds(node, 5.0)
+    energy, speeds = rc.solve_sp(node, g.costs, 5.0)
     total = 2.0 + 16.0 ** (1.0 / 3.0)
     assert energy == pytest.approx(total**3 / 25.0, rel=1e-12)
     assert speeds["s"] == speeds["t"] == pytest.approx(total / 5.0, rel=1e-12)
@@ -231,10 +298,10 @@ def test_spg_speeds_split_the_window(build):
     assert sum(g.costs[t] * s * s for t, s in speeds.items()) == pytest.approx(energy, rel=1e-12)
 
 
-def test_spg_rejects_finite_cap():
-    g = rc.Elementary(rc.Task("s", 2.0), rc.Task("t", 3.0))
+def test_spg_rejects_finite_cap(build):
+    g = _two_or_three_tasks(build, [("s", "t")])
     with pytest.raises(rc.UnsupportedError):
-        rc.solve_spg(g, 2.5, 4.0)
+        rc.solve_spg(rc.as_spg(g), g.costs, 2.5, 4.0)
 
 
 def test_spg_agrees_with_numeric_solver(build):
@@ -249,7 +316,7 @@ def test_spg_agrees_with_numeric_solver(build):
         g = build([(i, costs[i]) for i in ids], edges, [[i] for i in ids], deadline)
         node = rc.as_spg(g)
         assert node is not None
-        energy = rc.solve_spg(node, deadline)
+        energy = rc.solve_spg(node, g.costs, deadline)
         _, report = rc.solve_dag(g, math.inf)
         assert energy == pytest.approx(report.energy, rel=1e-5)
 

@@ -20,7 +20,9 @@ def test_independent_detection(build):
 
 def test_chain_detection(build):
     g = chain_graph(build, ["A", "B", "C"])
-    assert rc.recognise(g) == ("chain", (["A"], g.successors))
+    assert rc.recognise(g) == ("chain", [
+        (rc.SERIES, ("C",)), (rc.SERIES, ("B", 0)), (rc.SERIES, ("A", 1)),
+    ])
     # two tasks in a row are already a chain, not a fork
     assert rc.detect_structure(chain_graph(build, ["A", "B"])) == "chain"
 
@@ -32,7 +34,10 @@ def test_fork_detection_both_orientations(build):
         [["c"], ["x"], ["y"], ["z"]],
         5.0,
     )
-    assert rc.recognise(out_star) == ("fork", (["c"], out_star.successors))
+    assert rc.recognise(out_star) == ("fork", [
+        (rc.SERIES, ("z",)), (rc.SERIES, ("y",)), (rc.SERIES, ("x",)),
+        (rc.PARALLEL, (2, 1, 0)), (rc.SERIES, ("c", 3)),
+    ])
     assert out_star.successors["c"] == ("x", "y", "z")
 
     in_star = build(
@@ -41,7 +46,9 @@ def test_fork_detection_both_orientations(build):
         [["c"], ["x"], ["y"]],
         5.0,
     )
-    assert rc.recognise(in_star) == ("fork", (["c"], in_star.predecessors))
+    assert rc.recognise(in_star) == ("fork", [
+        (rc.SERIES, ("x",)), (rc.SERIES, ("y",)), (rc.PARALLEL, (0, 1)), (rc.SERIES, ("c", 2)),
+    ])
     assert in_star.predecessors["c"] == ("x", "y")
 
 
@@ -95,8 +102,9 @@ def test_spg_detection_diamond(build):
         5.0,
     )
     assert rc.detect_structure(g) == "spg"
-    node = rc.as_spg(g)
-    assert node is not None
+    assert rc.as_spg(g) == [
+        (rc.SERIES, ("a",)), (rc.SERIES, ("b",)), (rc.PARALLEL, (0, 1)), (rc.SERIES, ("s", 2, "t")),
+    ]
     assert rc.as_tree(g) is None
 
 
@@ -161,8 +169,9 @@ def test_random_spgs_are_recognized(build):
 
 def test_recognise_returns_the_parsed_form(build):
     g = chain_graph(build, ["B", "A", "C"])
-    assert rc.recognise(g) == ("chain", (["B"], g.successors))
-    assert rc.recognise(g, "tree") == ("tree", (["B"], g.successors))
+    chain = [(rc.SERIES, ("C",)), (rc.SERIES, ("A", 0)), (rc.SERIES, ("B", 1))]
+    assert rc.recognise(g) == ("chain", chain)
+    assert rc.recognise(g, "tree") == ("tree", chain)
     assert rc.as_tree(g) == rc.TreeNode("B", 1.0, (rc.TreeNode("A", 1.0, (rc.TreeNode("C", 1.0),)),))
     assert rc.recognise(g, "dag") == ("dag", None)
     fork = build(
@@ -171,12 +180,16 @@ def test_recognise_returns_the_parsed_form(build):
         [["c"], ["x"], ["y"]],
         5.0,
     )
-    assert rc.recognise(fork) == ("fork", (["c"], fork.successors))
+    assert rc.recognise(fork) == ("fork", [
+        (rc.SERIES, ("y",)), (rc.SERIES, ("x",)), (rc.PARALLEL, (1, 0)), (rc.SERIES, ("c", 2)),
+    ])
     loose = build([("b", 1.0), ("a", 1.0)], [], [["b"], ["a"]], 5.0)
-    assert rc.recognise(loose) == ("independent", (["b", "a"], loose.successors))
+    assert rc.recognise(loose) == ("independent", [
+        (rc.SERIES, ("b",)), (rc.SERIES, ("a",)), (rc.PARALLEL, (0, 1)),
+    ])
     # every forest label a graph has, most specific first
     single = build([("a", 1.0)], [], [["a"]], 5.0)
-    assert rc.as_forest(single) == (("independent", "chain", "tree"), ["a"], single.successors)
+    assert rc.as_forest(single) == (("independent", "chain", "tree"), [(rc.SERIES, ("a",))])
     pair = chain_graph(build, ["A", "B"])
     assert rc.as_forest(pair)[0] == ("chain", "fork", "tree")
     assert rc.as_forest(fork)[0] == ("fork", "tree")
@@ -217,7 +230,7 @@ def test_large_spg_decomposes_in_near_linear_time(build):
     node = rc.as_spg(g)
     elapsed = time.perf_counter() - t0
     assert node is not None
-    assert rc.spg_cost(node) == pytest.approx(_plain_spg_cost(data, costs), rel=1e-12)
+    assert rc.spg_cost(node, g.costs) == pytest.approx(_plain_spg_cost(data, costs), rel=1e-12)
     assert elapsed < 5.0
 
 
