@@ -4,10 +4,11 @@ One closed form covers the graph classes where the optimum has a known
 shape: forests (independent tasks, chains, fork/join stars and trees)
 and series-parallel graphs share one decomposition, and `solve_sp`
 applies the paper's rule to it (equivalent costs bottom-up, windows
-top-down). A log-barrier solver handles arbitrary DAGs. Constant
-per-task speed is optimal in this model, so every solver here returns
-one speed per task, and the power-profile helpers verify the flat-power
-signature of an interior optimum.
+top-down). A log-barrier solver handles arbitrary DAGs, on what is left
+once transitive edges are dropped and series chains contracted.
+Constant per-task speed is optimal in this model, so every solver here
+returns one speed per task, and the power-profile helpers verify the
+flat-power signature of an interior optimum.
 """
 
 from __future__ import annotations
@@ -301,56 +302,145 @@ MAX_NEWTON = 4000
 def solve_dag(g: ExecutionGraph, s_max: float = math.inf) -> tuple[Schedule, SolveReport]:
     """Minimum-energy constant per-task speeds for an arbitrary DAG.
 
-    Minimizes sum w^3 / d^2 over durations d and completion times t with
-    the precedence, window, and speed-cap constraints kept strictly
-    feasible by a log barrier. Diagnostics report the Newton iteration
-    count, the final duality measure, and a scaled stationarity residual.
+    The graph is first reduced exactly (see `reduce_dag`): transitive
+    edges go, and each series chain becomes one task of summed cost whose
+    members share its speed. On the residual the solver minimizes
+    sum w^3 / d^2 over durations d and completion times t with the
+    precedence, window, and speed-cap constraints kept strictly feasible
+    by a log barrier. When the deadline equals the all-cap critical path,
+    the tasks without float are pinned at the cap and the barrier solves
+    the others in the windows the pinned tasks leave them. Diagnostics
+    report the Newton iteration count, the final duality measure, a
+    scaled stationarity residual and the residual's task count.
     """
-    order = topological_order(g)
-    n = len(order)
+    groups, edges = reduce_dag(g, topological_order(g))
+    n = len(groups)
     D = g.deadline
-    w = np.array([g.costs[tid] for tid in order])
+    w = np.array([sum(g.costs[tid] for tid in group) for group in groups])
+    release = np.zeros(n)
 
-    if n == 1:
-        # One task, one window; keep the trivial answer exact.
-        s = w[0] / D
-        if s > s_max * (1 + REL_TOL):
-            raise InfeasibleError(f"cost {w[0]} needs speed {s:g} > cap {s_max:g}")
-        return constant_schedule(g, {order[0]: min(s, s_max)}, {"iterations": 0, "residual": 0.0})
-
-    idx = {tid: i for i, tid in enumerate(order)}
-    edges = [(idx[u], idx[v]) for u, v in sorted(g.edges)]
-
-    ref = s_max
-    if not math.isfinite(s_max):
-        # Pick a virtual cap that leaves the start point half the window.
-        unit_cp = float(_asap_vector(n, edges, w).max())
-        ref = 2.0 * unit_cp / D
-    d0 = w / ref
-    t0 = _asap_vector(n, edges, d0)
-    cp = float(t0.max())
+    cp = 0.0
     if math.isfinite(s_max):
+        done = _asap_vector(n, edges, w / s_max, release)
+        cp = float(done.max())
         if cp > D * (1 + REL_TOL):
             raise InfeasibleError(
                 f"critical path {cp:g} at cap {s_max:g} exceeds deadline {D:g}"
             )
-        if cp >= D * (1 - 1e-9):
-            # The window is exactly the all-cap critical path: no interior
-            # exists, and every task on the path is pinned anyway.
-            return constant_schedule(
-                g,
-                dict.fromkeys(order, s_max),
-                {"iterations": 0, "residual": 0.0, "pinned": True},
-            )
+    if cp >= D * (1 - 1e-9):
+        speeds, diagnostics = _solve_pinned(w, edges, done, max(cp, D), s_max)
+    else:
+        speeds, diagnostics = _barrier(w, edges, release, np.full(n, D), s_max)
+    diagnostics["reduced_tasks"] = n
+    per_task = {tid: s for group, s in zip(groups, speeds) for tid in group}
+    return constant_schedule(g, per_task, diagnostics)
 
-    gamma = D / cp
+
+def reduce_dag(
+    g: ExecutionGraph, order: Sequence[str]
+) -> tuple[list[list[str]], list[tuple[int, int]]]:
+    """Series reduction of the execution graph, exact for `solve_dag`.
+
+    Drops every transitive edge u->v (durations are positive, so the other
+    u->v path implies it), then contracts every edge u->v where v is u's
+    only successor and u is v's only predecessor: at the optimum such a
+    pair shares one speed, and that speed meets a cap exactly when their
+    summed cost does. Returns the groups, each a chain of task ids in
+    order, listed in the topological order of their heads, and the
+    residual edges as (group, group) index pairs.
+    """
+    pos = {tid: i for i, tid in enumerate(order)}
+    succ = [[pos[v] for v in g.successors[tid]] for tid in order]
+    pred = [[pos[u] for u in g.predecessors[tid]] for tid in order]
+    for u, out in enumerate(succ):
+        # Only an edge whose tail has several successors and whose head
+        # several predecessors can be transitive; it is when its head is
+        # reachable through another successor. Positions bound the search.
+        heads = [v for v in out if len(pred[v]) > 1]
+        if len(out) < 2 or not heads:
+            continue
+        last = max(heads)
+        seen: set[int] = set()
+        stack = list(out)
+        while stack:
+            for y in succ[stack.pop()]:
+                if y <= last and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        for v in heads:
+            if v in seen:
+                out.remove(v)
+                pred[v].remove(u)
+
+    groups: list[list[int]] = []
+    group_of = [0] * len(order)
+    for i in range(len(order)):
+        if len(pred[i]) == 1 and len(succ[pred[i][0]]) == 1:
+            continue  # the tail of an edge contracted below
+        chain = [i]
+        while len(succ[chain[-1]]) == 1 and len(pred[succ[chain[-1]][0]]) == 1:
+            chain.append(succ[chain[-1]][0])
+        for k in chain:
+            group_of[k] = len(groups)
+        groups.append(chain)
+    edges = [(gi, group_of[v]) for gi, chain in enumerate(groups) for v in succ[chain[-1]]]
+    return [[order[k] for k in chain] for chain in groups], edges
+
+
+def _solve_pinned(w, edges, done, horizon, s_max):
+    # The window is exactly the all-cap critical path, whose tasks finish
+    # at ``done``. Every task without float lies on such a path, so it
+    # runs at the cap in a fixed interval; the others are released when
+    # their pinned predecessors finish and due when their pinned
+    # successors start.
+    n = len(w)
+    d_cap = w / s_max
+    late = _alap_vector(n, edges, d_cap, horizon)
+    pinned = late - done <= 1e-9 * horizon
+    free = np.flatnonzero(~pinned)
+    index = {int(i): k for k, i in enumerate(free)}
+    release, due = np.zeros(len(free)), np.full(len(free), horizon)
+    sub_edges = []
+    for u, v in edges:
+        if pinned[u] and not pinned[v]:
+            release[index[v]] = max(release[index[v]], done[u])
+        elif pinned[v] and not pinned[u]:
+            due[index[u]] = min(due[index[u]], done[v] - d_cap[v])
+        elif not pinned[u]:
+            sub_edges.append((index[u], index[v]))
+    speeds = np.full(n, s_max)
+    speeds[free], diagnostics = _barrier(w[free], sub_edges, release, due, s_max)
+    diagnostics["pinned"] = True
+    return speeds, diagnostics
+
+
+def _barrier(w, edges, release, due, s_max):
+    """Speeds and diagnostics of the tasks ``w`` (in topological order)
+    under ``edges``, each run between its release and due times.
+
+    The caller guarantees an interior: with every task at the cap (or,
+    uncapped, at some common speed), each one finishes before it is due.
+    """
+    n = len(w)
+    if n <= 1:
+        # One task, one window; keep the trivial answer exact.
+        return w / (due - release), {"iterations": 0, "residual": 0.0}
+
+    if math.isfinite(s_max):
+        d0 = w / s_max
+    else:
+        # Pick a virtual cap that leaves the start point half of its
+        # tightest window; uncapped, every release time is zero.
+        d0 = w / (2.0 * float(np.max(_asap_vector(n, edges, w, release) / due)))
+    t0 = _asap_vector(n, edges, d0, release)
+    gamma = float(np.min(due / t0))
     beta = 1.0 + 0.9 * (gamma - 1.0)
     depth = _depths(n, edges)
-    cushion = cp * (gamma - beta) / (2.0 * n)
+    cushion = float(np.min(due)) * (1.0 - beta / gamma) / (2.0 * n)
     x = np.concatenate([beta * d0, beta * t0 + cushion * (depth + 1.0)])
 
     lb = w / s_max if math.isfinite(s_max) else np.zeros(n)
-    A, rhs = _constraints(n, edges, lb, D)
+    A, rhs = _constraints(n, edges, lb, release, due)
     m_rows = A.shape[0]
 
     def objective(xv: np.ndarray) -> float:
@@ -411,7 +501,7 @@ def solve_dag(g: ExecutionGraph, s_max: float = math.inf) -> tuple[Schedule, Sol
         iterations,
         residual,
     )
-    return constant_schedule(g, dict(zip(order, speeds)), diagnostics)
+    return speeds, diagnostics
 
 
 def _stationarity_residual(x, t_barrier, A, rhs, grad_f) -> float:
@@ -494,9 +584,9 @@ def _center(x, t_barrier, A, rhs, w, n, objective, grad_f, iterations):
     return x, iterations
 
 
-def _constraints(n, edges, lb, deadline):
-    # Rows of A x >= rhs, stored as (A, rhs): duration floors, start
-    # nonnegativity (t_i >= d_i), precedence gaps, deadline ceilings.
+def _constraints(n, edges, lb, release, due):
+    # Rows of A x >= rhs, stored as (A, rhs): duration floors, release
+    # times (t_i - d_i >= r_i), precedence gaps, due-time ceilings.
     rows = n + n + len(edges) + n
     A = np.zeros((rows, 2 * n))
     rhs = np.zeros(rows)
@@ -508,6 +598,7 @@ def _constraints(n, edges, lb, deadline):
     for i in range(n):
         A[r, n + i] = 1.0
         A[r, i] = -1.0
+        rhs[r] = release[i]
         r += 1
     for u, v in edges:
         A[r, n + v] = 1.0
@@ -516,20 +607,32 @@ def _constraints(n, edges, lb, deadline):
         r += 1
     for i in range(n):
         A[r, n + i] = -1.0
-        rhs[r] = -deadline
+        rhs[r] = -due[i]
         r += 1
     return A, rhs
 
 
-def _asap_vector(n, edges, durations):
+def _asap_vector(n, edges, durations, release):
     # Indices are topological already, so one forward sweep suffices.
-    t = np.array(durations, dtype=float)
+    t = np.array(release + durations, dtype=float)
     preds: dict[int, list[int]] = {i: [] for i in range(n)}
     for u, v in edges:
         preds[v].append(u)
     for i in range(n):
         if preds[i]:
-            t[i] = max(t[u] for u in preds[i]) + durations[i]
+            t[i] = max(release[i], max(t[u] for u in preds[i])) + durations[i]
+    return t
+
+
+def _alap_vector(n, edges, durations, horizon):
+    # Latest completions that still meet the horizon: one backward sweep.
+    t = np.full(n, horizon)
+    succs: dict[int, list[int]] = {i: [] for i in range(n)}
+    for u, v in edges:
+        succs[u].append(v)
+    for i in range(n - 1, -1, -1):
+        if succs[i]:
+            t[i] = min(horizon, min(t[v] - durations[v] for v in succs[i]))
     return t
 
 

@@ -212,6 +212,140 @@ def tree_rule(costs, roots, children, order, deadline, s_max=math.inf, rel_tol=1
     return energy, speeds
 
 
+def unreduced_barrier(costs, edges, deadline, s_max=math.inf):
+    """The log-barrier DAG solver run on the whole graph, with no reduction.
+
+    `costs` maps id -> work and `edges` lists (u, v) pairs. Minimizes
+    Σ w³/d² over durations d and completion times t, subject to d ≥ w/s_max,
+    t - d ≥ 0, t_v - d_v ≥ t_u on every edge and t ≤ deadline, by the same
+    barrier rounds, Newton centring and multiplier refinement as the
+    package's solver, on one variable pair per task. The deadline must
+    leave an interior (at the cap, the critical path must be shorter).
+    Returns (energy, speeds, residual).
+    """
+    import numpy as np
+
+    ids = sorted(costs)
+    preds = {i: [] for i in ids}
+    for u, v in edges:
+        preds[v].append(u)
+    order, placed = [], set()
+    while len(order) < len(ids):  # plain topological order, smallest id first
+        nxt = min(i for i in ids if i not in placed and all(p in placed for p in preds[i]))
+        order.append(nxt)
+        placed.add(nxt)
+    n, idx = len(order), {t: k for k, t in enumerate(order)}
+    pairs = sorted((idx[u], idx[v]) for u, v in set(map(tuple, edges)))
+    w = np.array([costs[t] for t in order])
+
+    def asap(d):
+        t = np.array(d, dtype=float)
+        for u, v in pairs:  # sorted by tail, and tails precede heads
+            t[v] = max(t[v], t[u] + d[v])
+        return t
+
+    depth = np.zeros(n)
+    for u, v in pairs:
+        depth[v] = max(depth[v], depth[u] + 1.0)
+    capped = math.isfinite(s_max)
+    d0 = w / s_max if capped else w / (2.0 * float(asap(w).max()) / deadline)
+    t0 = asap(d0)
+    cp = float(t0.max())
+    gamma = deadline / cp
+    assert gamma > 1.0, "no interior: the critical path at the cap fills the deadline"
+    beta = 1.0 + 0.9 * (gamma - 1.0)
+    cushion = cp * (gamma - beta) / (2.0 * n)
+    x = np.concatenate([beta * d0, beta * t0 + cushion * (depth + 1.0)])
+
+    A = np.zeros((3 * n + len(pairs), 2 * n))
+    rhs = np.zeros(len(A))
+    for i in range(n):
+        A[i, i] = 1.0
+        rhs[i] = w[i] / s_max if capped else 0.0
+        A[n + i, n + i], A[n + i, i] = 1.0, -1.0
+        A[2 * n + i, n + i] = -1.0
+        rhs[2 * n + i] = -deadline
+    for r, (u, v) in enumerate(pairs, start=3 * n):
+        A[r, n + v], A[r, n + u], A[r, v] = 1.0, -1.0, -1.0
+
+    def f(xv):
+        return float(np.sum(w**3 / xv[:n] ** 2))
+
+    def grad_f(xv):
+        out = np.zeros(2 * n)
+        out[:n] = -2.0 * w**3 / xv[:n] ** 3
+        return out
+
+    def center(x, t):
+        for _ in range(200):
+            slack = A @ x - rhs
+            grad = t * grad_f(x) - A.T @ (1.0 / slack)
+            hess = (A.T * slack**-2) @ A
+            hess[np.diag_indices(n)] += t * 6.0 * w**3 / x[:n] ** 4
+            step = np.linalg.solve(hess, -grad)
+            decrement = float(step @ (hess @ step))
+            if decrement / 2.0 <= 1e-12:
+                return x
+            ray = A @ step
+            alpha = min(1.0, 0.99 * float(np.min(-slack[ray < 0] / ray[ray < 0], initial=np.inf)))
+
+            def phi(xv):
+                return t * f(xv) - float(np.sum(np.log(A @ xv - rhs)))
+
+            base = phi(x)
+            while alpha > 1e-12:
+                trial = x + alpha * step
+                if (A @ trial - rhs).min() > 0 and (
+                    phi(trial) <= base - 0.25 * alpha * decrement + 1e-12 * abs(base)
+                ):
+                    x = trial
+                    break
+                alpha *= 0.5
+            else:
+                return x
+        return x
+
+    def kkt_residual(x, t):
+        slack = A @ x - rhs
+        lam = 1.0 / (t * slack)
+        g0 = grad_f(x)
+        scale = max(1.0, float(np.max(np.abs(g0))))
+        best = float(np.max(np.abs(g0 - A.T @ lam))) / scale
+        active = lam > 1e-6 * max(1.0, float(lam.max()))
+        for _ in range(5):
+            if not active.any():
+                break
+            mu = np.linalg.lstsq(A[active].T, g0, rcond=None)[0]
+            if (mu >= 0.0).all():
+                refined = np.zeros_like(lam)
+                refined[active] = mu
+                return min(best, float(np.max(np.abs(g0 - A.T @ refined))) / scale)
+            keep = np.zeros_like(active)
+            keep[active] = mu > 0.0
+            active = keep
+        return best
+
+    t = 1.0
+    while True:
+        x = center(x, t)
+        if len(A) / t <= 1e-9 * max(1.0, f(x)):
+            break
+        t *= 10.0
+    residual = kkt_residual(x, t)
+    for _ in range(6):
+        if residual <= 1e-8:
+            break
+        t *= 10.0
+        x = center(x, t)
+        residual = min(residual, kkt_residual(x, t))
+    speeds = np.minimum(w / x[:n], s_max)
+    return (
+        sum(costs[i] * s * s for i, s in zip(order, speeds)),
+        {i: float(s) for i, s in zip(order, speeds)},
+        residual,
+    )
+
+
 def subset_sum_half(values):
     """True iff some subset of `values` sums to exactly half the total."""
     total = sum(values)

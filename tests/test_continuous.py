@@ -409,6 +409,103 @@ def test_dag_infeasible_and_pinned_deadlines(build):
         )
 
 
+def test_reduction_matches_the_unreduced_barrier(build):
+    rng = random.Random(59)
+    for trial in range(36):
+        n = rng.randint(3, 14)
+        tasks, prec, alloc = support.random_instance(
+            rng, n, n_proc=rng.randint(1, 4), p_edge=rng.choice((0.1, 0.25, 0.4))
+        )
+        if trial % 2:
+            # Repeat some processor-order pairs as precedence edges.
+            prec += [pair for _, q in alloc for pair in zip(q, q[1:]) if rng.random() < 0.5]
+        edges = support.all_edges(prec, alloc)
+        deadline = support.pick_deadline(rng, tasks, edges, 2.0, (1.2, 2.5))
+        g = build(tasks, prec, [q for _, q in alloc], deadline)
+        free_energy, free_speeds, _ = support.unreduced_barrier(g.costs, edges, deadline)
+        low = support.ref_makespan(edges, g.costs) / deadline  # every task at speed 1
+        top = max(free_speeds.values())
+        caps = [math.inf]
+        if top > low * (1 + 1e-3):
+            caps.append((low + top) / 2)
+        for s_max in caps:
+            if math.isfinite(s_max):
+                energy, speeds, _ = support.unreduced_barrier(g.costs, edges, deadline, s_max)
+            else:
+                energy, speeds = free_energy, free_speeds
+            _, report = rc.solve_dag(g, s_max)
+            assert report.energy == pytest.approx(energy, rel=1e-9)
+            assert report.speeds == pytest.approx(speeds, rel=1e-6)
+            assert report.diagnostics["residual"] <= 1e-8
+            assert report.diagnostics["reduced_tasks"] <= n
+
+
+def test_a_dropped_transitive_edge_lets_a_chain_contract(build):
+    # a -> c is implied by a -> b -> c; without it a, b, c form one chain.
+    g = build([("a", 1.0), ("b", 2.0), ("c", 3.0), ("x", 1.0)],
+              [("a", "b"), ("b", "c"), ("a", "c")], [["a"], ["b"], ["c"], ["x"]], 2.0)
+    groups, edges = cont.reduce_dag(g, rc.topological_order(g))
+    assert groups == [["a", "b", "c"], ["x"]]
+    assert edges == []
+    _, report = rc.solve_dag(g)
+    assert report.diagnostics["reduced_tasks"] == 2
+    assert report.speeds["a"] == report.speeds["b"] == report.speeds["c"]
+    assert report.speeds == pytest.approx({"a": 3.0, "b": 3.0, "c": 3.0, "x": 0.5}, rel=1e-6)
+    # Keeping a -> c out of reach of b leaves nothing to drop or contract.
+    g = build([("a", 1.0), ("b", 2.0), ("c", 3.0)], [("a", "b"), ("a", "c")],
+              [["a"], ["b"], ["c"]], 2.0)
+    groups, edges = cont.reduce_dag(g, rc.topological_order(g))
+    assert groups == [["a"], ["b"], ["c"]]
+    assert edges == [(0, 1), (0, 2)]
+
+
+def test_dag_on_a_long_chain_is_the_closed_form(tmp_path):
+    rng = random.Random(61)
+    ids = [f"C{k}" for k in range(300)]
+    costs = [rng.uniform(1.0, 5.0) for _ in ids]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "tasks": [{"id": i, "cost": w} for i, w in zip(ids, costs)],
+        "precedence": [],
+        "allocation": [{"processor": 0, "order": ids}],
+        "deadline": 100.0,
+    }))
+    out = tmp_path / "report.json"
+    code = main(["solve", str(path), "--model", "continuous", "--structure", "dag",
+                 "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    total = sum(costs)
+    assert report["energy"] == pytest.approx(total**3 / 100.0**2, rel=1e-12)
+    assert report["diagnostics"]["reduced_tasks"] == 1
+    assert report["diagnostics"]["iterations"] == 0
+
+
+def test_pinned_deadline_pins_only_the_tasks_without_float(build):
+    # A -> B fills D = 1 at the cap; C has float and runs at its own pace.
+    g = build([("A", 3.0), ("B", 3.0), ("C", 0.5)], [], [["A", "B"], ["C"]], 1.0)
+    _, report = rc.solve_dag(g, 6.0)
+    assert report.speeds == pytest.approx({"A": 6.0, "B": 6.0, "C": 0.5}, rel=1e-12)
+    assert report.energy == pytest.approx(216.125, rel=1e-12)
+    assert report.diagnostics["pinned"]
+    rng = random.Random(67)
+    for _ in range(10):
+        tasks, prec, alloc = support.random_instance(rng, rng.randint(4, 10), n_proc=3)
+        edges = support.all_edges(prec, alloc)
+        s_max = rng.uniform(2.0, 4.0)
+        deadline = support.ref_makespan(edges, {i: w / s_max for i, w in tasks})
+        g = build(tasks, prec, [q for _, q in alloc], deadline)
+        _, report = rc.solve_dag(g, s_max)
+        assert report.diagnostics["pinned"]
+        assert report.feasible
+        assert all(s <= s_max for s in report.speeds.values())
+        # A deadline a hair longer leaves the pinned optimum nearly unchanged.
+        _, looser = rc.solve_dag(build(tasks, prec, [q for _, q in alloc], deadline * (1 + 1e-7)),
+                                 s_max)
+        assert looser.energy <= report.energy * (1 + 1e-9)
+        assert report.energy == pytest.approx(looser.energy, rel=1e-5)
+
+
 def test_dag_respects_the_cap(build):
     rng = random.Random(37)
     for _ in range(10):
