@@ -260,15 +260,12 @@ def _finite_model(args, model: str):
 def _solve_continuous(g: ExecutionGraph, args) -> tuple[str, Schedule, SolveReport]:
     s_max = args.smax if args.smax is not None else math.inf
     capped = math.isfinite(s_max)
-    if args.structure == "spg" and capped:
-        if args.fallback != "dag":
-            raise UnsupportedError(
-                "the series-parallel closed form needs an uncapped model; "
-                "pass --fallback dag (or --structure dag) for a capped solve"
-            )
-        shape, form = "spg", None
-    else:
-        shape, form = struct.recognise(g, args.structure)
+    if args.structure == "spg" and capped and args.fallback != "dag":
+        raise UnsupportedError(
+            "the series-parallel closed form needs an uncapped model; "
+            "pass --fallback dag (or --structure dag) for a capped solve"
+        )
+    shape, form = struct.recognise(g, args.structure)
     if shape == "dag" or (shape == "spg" and capped):
         # The detected shape stays in the report.
         return shape, *cont.solve_dag(g, s_max)

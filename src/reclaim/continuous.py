@@ -5,7 +5,8 @@ shape: forests (independent tasks, chains, fork/join stars and trees)
 and series-parallel graphs share one decomposition, and `solve_sp`
 applies the paper's rule to it (equivalent costs bottom-up, windows
 top-down). A log-barrier solver handles arbitrary DAGs, on what is left
-once transitive edges are dropped and series chains contracted.
+once transitive edges are dropped and series chains contracted; the same
+reduction, with parallel merges added, recognises series-parallel graphs.
 Constant per-task speed is optimal in this model, so every solver here
 returns one speed per task, and the power-profile helpers verify the
 flat-power signature of an interior optimum.
@@ -385,6 +386,87 @@ def reduce_dag(
         groups.append(chain)
     edges = [(gi, group_of[v]) for gi, chain in enumerate(groups) for v in succ[chain[-1]]]
     return [[order[k] for k in chain] for chain in groups], edges
+
+
+def decompose_reduced(
+    groups: Sequence[Sequence[str]], edges: Sequence[tuple[int, int]]
+) -> Decomposition | None:
+    """The decomposition of `reduce_dag`'s residual, or None when it is not
+    series-parallel.
+
+    Repeats two merges until neither applies: nodes with identical
+    predecessor and successor sets become one parallel node, and a node
+    whose only successor has it as its only predecessor absorbs that
+    successor in series. Neither merge makes an edge transitive, so the
+    members of a parallel node always share one feasible window, and
+    uncapped they act as one task of cost the cube root of their summed
+    cubes, as `solve_sp` prices them. Succeeds when one node is left.
+    A node's twins are found through its neighbours, so two nodes without
+    any never merge: a graph of several components gives None.
+    """
+    preds: list[set[int]] = [set() for _ in groups]
+    succs: list[set[int]] = [set() for _ in groups]
+    for u, v in edges:
+        succs[u].add(v)
+        preds[v].add(u)
+    # The series members of each live node not yet listed in sp; None once merged away.
+    items: list[list | None] = [list(group) for group in groups]
+    sp: Decomposition = []
+
+    def emit(x: int) -> int:
+        if len(items[x]) == 1 and type(items[x][0]) is int:
+            return items[x][0]
+        sp.append((SERIES, tuple(items[x])))
+        return len(sp) - 1
+
+    def twins(x: int) -> list[int]:
+        # x's twins are among the successors of any one of its
+        # predecessors, and the predecessors of any one of its successors.
+        pools = [succs[next(iter(preds[x]))]] if preds[x] else []
+        if succs[x]:
+            pools.append(preds[next(iter(succs[x]))])
+        pool = min(pools, key=len, default=())
+        return sorted(
+            y for y in pool if y == x or preds[y] == preds[x] and succs[y] == succs[x]
+        )
+
+    # Nodes whose sets changed since they were last checked.
+    dirty = set(range(len(groups)))
+    while dirty:
+        changed = set()
+        for x in sorted(dirty):
+            if items[x] is None:
+                continue
+            while len(preds[x]) == 1 and len(succs[next(iter(preds[x]))]) == 1:
+                x = next(iter(preds[x]))  # back to the head of a series run
+            changed.add(x)
+            while len(succs[x]) == 1 and len(preds[y := next(iter(succs[x]))]) == 1:
+                items[x] += items[y]
+                items[y] = None
+                succs[x] = succs[y]
+                for z in succs[x]:
+                    preds[z].remove(y)
+                    preds[z].add(x)
+                    changed.add(z)
+        dirty = set()
+        for x in sorted(changed):
+            if items[x] is None or len(alike := twins(x)) < 2:
+                continue
+            first = alike[0]
+            sp.append((PARALLEL, tuple(emit(y) for y in alike)))
+            items[first] = [len(sp) - 1]
+            for y in alike[1:]:
+                items[y] = None
+                for p in preds[y]:
+                    succs[p].remove(y)
+                for z in succs[y]:
+                    preds[z].remove(y)
+            dirty |= preds[first] | succs[first]
+    live = [x for x, item in enumerate(items) if item is not None]
+    if len(live) != 1:
+        return None
+    emit(live[0])
+    return sp
 
 
 def _solve_pinned(w, edges, done, horizon, s_max):

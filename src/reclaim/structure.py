@@ -2,7 +2,10 @@
 
 The closed form needs a forest or a two-terminal series-parallel graph.
 This module recognizes both on an arbitrary execution graph and emits
-the one decomposition `continuous.solve_sp` takes. Mirrored shapes (a
+the one decomposition `continuous.solve_sp` takes: a forest's is read
+off its own adjacency, and a series-parallel graph's comes from the
+reduction the numeric path runs, with parallel merges added
+(`continuous.decompose_reduced`). Mirrored shapes (a
 join, an in-tree) are forests whose children are the predecessors:
 reversing time changes neither durations nor energy, so the forward
 speeds apply verbatim.
@@ -10,9 +13,14 @@ speeds apply verbatim.
 
 from __future__ import annotations
 
-import heapq
-
-from .continuous import PARALLEL, SERIES, Decomposition, TreeNode, decompose_forest
+from .continuous import (
+    PARALLEL,
+    Decomposition,
+    TreeNode,
+    decompose_forest,
+    decompose_reduced,
+    reduce_dag,
+)
 from .graph import ExecutionGraph
 
 STRUCTURES = ("independent", "chain", "fork", "tree", "spg", "dag")
@@ -109,115 +117,12 @@ def as_tree(g: ExecutionGraph) -> TreeNode | None:
 def as_spg(g: ExecutionGraph) -> Decomposition | None:
     """Decompose a two-terminal series-parallel graph, or return None.
 
-    Standard confluent reduction: merge duplicate edges into parallel
-    compositions, splice out interior nodes of in- and out-degree one
-    into series compositions, and succeed when a single source-to-sink
-    edge remains. Each edge carries the node of the tasks strictly
-    between its ends (a bare edge has none): a splice at x makes
-    series(I_in, x, I_out), a merge the parallel node of the non-empty
-    interiors, and the graph is series(source, I, sink).
+    The graph needs at least two tasks, exactly one source and exactly
+    one sink, and `reduce_dag`'s residual must merge down to one node
+    (see `decompose_reduced`).
     """
-    n = len(g.tasks)
-    if n < 2 or not g.edges:
+    sources = sum(1 for p in g.predecessors.values() if not p)
+    sinks = sum(1 for s in g.successors.values() if not s)
+    if len(g.tasks) < 2 or sources != 1 or sinks != 1:
         return None
-    sources = [tid for tid, p in g.predecessors.items() if not p]
-    sinks = [tid for tid, s in g.successors.items() if not s]
-    if len(sources) != 1 or len(sinks) != 1:
-        return None
-    src, snk = sources[0], sinks[0]
-
-    sp: Decomposition = []
-
-    def node(kind: str, members: list) -> int:
-        sp.append((kind, tuple(members)))
-        return len(sp) - 1
-
-    inner: dict[int, int | None] = {}
-    head: dict[int, str] = {}
-    tail: dict[int, str] = {}
-    out_eids: dict[str, set[int]] = {t.id: set() for t in g.tasks}
-    in_eids: dict[str, set[int]] = {t.id: set() for t in g.tasks}
-    for eid, (u, v) in enumerate(sorted(g.edges)):
-        inner[eid] = None
-        head[eid], tail[eid] = u, v
-        out_eids[u].add(eid)
-        in_eids[v].add(eid)
-    next_eid = len(inner)
-
-    def pair_key(eid: int) -> tuple[str, str]:
-        return head[eid], tail[eid]
-
-    pairs: dict[tuple[str, str], list[int]] = {}
-    for eid in inner:
-        pairs.setdefault(pair_key(eid), []).append(eid)
-
-    def drop(eid: int) -> None:
-        out_eids[head[eid]].discard(eid)
-        in_eids[tail[eid]].discard(eid)
-        bucket = pairs[pair_key(eid)]
-        bucket.remove(eid)
-        del inner[eid], head[eid], tail[eid]
-
-    def add(u: str, v: str, interior: int | None) -> int:
-        nonlocal next_eid
-        eid = next_eid
-        next_eid += 1
-        inner[eid] = interior
-        head[eid], tail[eid] = u, v
-        out_eids[u].add(eid)
-        in_eids[v].add(eid)
-        pairs.setdefault((u, v), []).append(eid)
-        return eid
-
-    # The splice order is smallest id first; the heap holds exactly the
-    # members of series_ready, so the pick costs a log, not a scan.
-    series_ready: set[str] = set()
-    series_heap: list[str] = []
-
-    def mark_series(tid: str) -> None:
-        one_in_one_out = len(in_eids[tid]) == len(out_eids[tid]) == 1
-        if one_in_one_out and tid not in series_ready and tid not in (src, snk):
-            series_ready.add(tid)
-            heapq.heappush(series_heap, tid)
-
-    for tid in out_eids:
-        mark_series(tid)
-    parallel_ready = {key for key, bucket in pairs.items() if len(bucket) > 1}
-
-    while series_ready or parallel_ready:
-        while parallel_ready:
-            key = parallel_ready.pop()
-            bucket = sorted(pairs.get(key, []))
-            if len(bucket) > 1:
-                parts = [inner[eid] for eid in bucket if inner[eid] is not None]
-                for eid in bucket:
-                    drop(eid)
-                merged = node(PARALLEL, parts) if len(parts) > 1 else parts[0] if parts else None
-                add(*key, merged)
-            # Removing parallel edges can enable a series splice.
-            for tid in key:
-                mark_series(tid)
-        if not series_ready:
-            break
-        x = heapq.heappop(series_heap)
-        series_ready.discard(x)
-        if len(in_eids[x]) != 1 or len(out_eids[x]) != 1:
-            continue
-        (e_in,) = in_eids[x]
-        (e_out,) = out_eids[x]
-        u, v = head[e_in], tail[e_out]
-        parts = [m for m in (inner[e_in], x, inner[e_out]) if m is not None]
-        drop(e_in)
-        drop(e_out)
-        add(u, v, node(SERIES, parts))
-        if len(pairs[(u, v)]) > 1:
-            parallel_ready.add((u, v))
-        for tid in (u, v):
-            mark_series(tid)
-
-    if len(inner) == 1:
-        ((eid, interior),) = inner.items()
-        if head[eid] == src and tail[eid] == snk:
-            node(SERIES, [m for m in (src, interior, snk) if m is not None])
-            return sp
-    return None
+    return decompose_reduced(*reduce_dag(g, g.topo_order))

@@ -346,6 +346,82 @@ def unreduced_barrier(costs, edges, deadline, s_max=math.inf):
     )
 
 
+def edge_spg(ids, edges):
+    """Series-parallel decomposition by edge reduction, or None.
+
+    `ids` lists the tasks and `edges` the (u, v) pairs. A graph with one
+    source and one sink is reduced edge by edge: duplicate edges merge
+    into a parallel composition, and a task other than the two ends with
+    one edge in and one out is spliced out into a series composition. It
+    succeeds when one source-to-sink edge is left. Each edge carries the
+    node of the tasks strictly between its ends (a bare edge has none),
+    and the result uses the package's decomposition format: ("series" or
+    "parallel", members) nodes, children first, the root last. This
+    recognises only edge-series-parallel graphs, a subset of the vertex
+    series-parallel graphs the package accepts.
+    """
+    edges = sorted(set(map(tuple, edges)))
+    preds = {i: set() for i in ids}
+    succs = {i: set() for i in ids}
+    for u, v in edges:
+        succs[u].add(v)
+        preds[v].add(u)
+    sources = [i for i in ids if not preds[i]]
+    sinks = [i for i in ids if not succs[i]]
+    if len(ids) < 2 or len(sources) != 1 or len(sinks) != 1:
+        return None
+    src, snk = sources[0], sinks[0]
+    sp = []
+
+    def node(kind, members):
+        sp.append((kind, tuple(members)))
+        return len(sp) - 1
+
+    # edge id -> [tail, head, interior node or None]
+    live = {eid: [u, v, None] for eid, (u, v) in enumerate(edges)}
+    fresh = len(live)
+    changed = True
+    while changed:
+        changed = False
+        by_pair = {}
+        for eid in sorted(live):
+            u, v, _ = live[eid]
+            by_pair.setdefault((u, v), []).append(eid)
+        for (u, v), bucket in by_pair.items():
+            if len(bucket) > 1:
+                parts = [live[e][2] for e in bucket if live[e][2] is not None]
+                for e in bucket:
+                    del live[e]
+                merged = node("parallel", parts) if len(parts) > 1 else (parts or [None])[0]
+                live[fresh] = [u, v, merged]
+                fresh += 1
+                changed = True
+        if changed:
+            continue
+        ins = {i: [] for i in ids}
+        outs = {i: [] for i in ids}
+        for eid, (u, v, _) in live.items():
+            outs[u].append(eid)
+            ins[v].append(eid)
+        for x in sorted(ids):
+            if x not in (src, snk) and len(ins[x]) == len(outs[x]) == 1:
+                (a,), (b,) = ins[x], outs[x]
+                u, _, first = live.pop(a)
+                _, v, last = live.pop(b)
+                parts = [m for m in (first, x, last) if m is not None]
+                live[fresh] = [u, v, node("series", parts)]
+                fresh += 1
+                changed = True
+                break
+    if len(live) != 1:
+        return None
+    ((u, v, interior),) = live.values()
+    if (u, v) != (src, snk):
+        return None
+    node("series", [m for m in (src, interior, snk) if m is not None])
+    return sp
+
+
 def subset_sum_half(values):
     """True iff some subset of `values` sums to exactly half the total."""
     total = sum(values)

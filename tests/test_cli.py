@@ -249,6 +249,13 @@ NESTING_INSTANCES = {
     "triangle": ({"r": 1.0, "a": 2.0, "c": 1.5}, [("r", "a"), ("a", "c"), ("r", "c")]),
     "two-out-trees": ({"r": 1.0, "a": 2.0, "b": 1.5, "q": 1.0, "c": 2.5, "d": 0.5},
                       [("r", "a"), ("r", "b"), ("q", "c"), ("q", "d")]),
+    # the N a -> c, b -> c, b -> d between one source and one sink
+    "two-terminal-n": ({"s": 1.0, "a": 2.0, "b": 1.5, "c": 1.0, "d": 2.5, "t": 1.0},
+                       [("s", "a"), ("s", "b"), ("a", "c"), ("b", "c"), ("b", "d"),
+                        ("c", "t"), ("d", "t")]),
+    # K2,2 with two sources and two sinks
+    "k22-two-sources": ({"a": 2.0, "b": 1.5, "c": 1.0, "d": 2.5},
+                        [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]),
 }
 
 # `solve --model continuous --structure X`, uncapped, for X in
@@ -266,10 +273,12 @@ NESTING = {
     "two-component": ("dag", "exit 1", "exit 1", "exit 1", "exit 1", "exit 1", "dag"),
     "spg": ("spg", "exit 1", "exit 1", "exit 1", "exit 1", "spg", "dag"),
     "dag": ("dag", "exit 1", "exit 1", "exit 1", "exit 1", "exit 1", "dag"),
-    "k22": ("dag", "exit 1", "exit 1", "exit 1", "exit 1", "exit 1", "dag"),
-    "crossed-chain": ("dag", "exit 1", "exit 1", "exit 1", "exit 1", "exit 1", "dag"),
+    "k22": ("spg", "exit 1", "exit 1", "exit 1", "exit 1", "spg", "dag"),
+    "crossed-chain": ("spg", "exit 1", "exit 1", "exit 1", "exit 1", "spg", "dag"),
     "triangle": ("spg", "exit 1", "exit 1", "exit 1", "exit 1", "spg", "dag"),
     "two-out-trees": ("dag", "exit 1", "exit 1", "exit 1", "exit 1", "exit 1", "dag"),
+    "two-terminal-n": ("dag", "exit 1", "exit 1", "exit 1", "exit 1", "exit 1", "dag"),
+    "k22-two-sources": ("dag", "exit 1", "exit 1", "exit 1", "exit 1", "exit 1", "dag"),
 }
 
 
@@ -461,6 +470,16 @@ def test_structure_override_and_fallback(capsys, tmp_path):
         "--structure", "spg", "--fallback", "dag",
     )
     assert payload["feasible"] is True
+
+    # ... which still checks the shape: the N-shaped graph is refused either way
+    n_path = write_instance(tmp_path, {**N_SHAPED, "deadline": 5.0}, "n.json")
+    for cap in ([], ["--smax", "10"]):
+        code, _, err = run(
+            capsys, "solve", n_path, "--model", "continuous", *cap,
+            "--structure", "spg", "--fallback", "dag",
+        )
+        assert code == 1
+        assert "not series-parallel" in err
 
     # auto-detection with a finite cap silently routes to the numeric path
     payload = run_json(capsys, "solve", path, "--model", "continuous", "--smax", "4")

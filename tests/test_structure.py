@@ -109,11 +109,11 @@ def test_spg_detection_diamond(build):
 
 
 def test_non_series_parallel_dag(build):
-    # the classic forbidden shape: an interleaving edge a -> b
+    # the forbidden N (a -> c, b -> c, b -> d) between one source and one sink
     g = build(
-        [("s", 1.0), ("a", 1.0), ("b", 1.0), ("t", 1.0)],
-        [("s", "a"), ("s", "b"), ("a", "b"), ("a", "t"), ("b", "t")],
-        [["s"], ["a"], ["b"], ["t"]],
+        [("s", 1.0), ("a", 1.0), ("b", 1.0), ("c", 1.0), ("d", 1.0), ("t", 1.0)],
+        [("s", "a"), ("s", "b"), ("a", "c"), ("b", "c"), ("b", "d"), ("c", "t"), ("d", "t")],
+        [["s"], ["a"], ["b"], ["c"], ["d"], ["t"]],
         5.0,
     )
     assert rc.detect_structure(g) == "dag"
@@ -244,3 +244,41 @@ def test_two_component_graph_is_not_a_tree(build):
     # the serialization edges merge the queues into two chains
     assert rc.as_tree(g) is None
     assert rc.detect_structure(g) == "dag"
+
+
+def test_vertex_reduction_against_the_edge_reducer(build):
+    # Every graph the edge reducer accepts keeps its closed form; a graph
+    # only the vertex reduction accepts is priced as the barrier prices it
+    # on the whole graph.
+    rng = random.Random(67)
+    cases = []
+    for _ in range(1000):
+        tasks, prec, alloc = support.random_instance(
+            rng, rng.randint(2, 14), n_proc=rng.randint(1, 4), p_edge=rng.choice((0.1, 0.25, 0.4))
+        )
+        cases.append((tasks, prec, [q for _, q in alloc]))
+    for _ in range(200):
+        data, costs = support.random_spg(rng, rng.randint(2, 60))
+        ids = sorted(costs)
+        cases.append(([(i, costs[i]) for i in ids], sorted(support.spg_edges(data)),
+                      [[i] for i in ids]))
+    deadline = 10.0
+    both = only_new = 0
+    for tasks, prec, runs in cases:
+        g = build(tasks, prec, runs, deadline)
+        old = support.edge_spg([t for t, _ in tasks], g.edges)
+        new = rc.as_spg(g)
+        if old is not None:
+            assert new is not None
+            both += 1
+            old_energy, old_speeds = rc.solve_sp(old, g.costs, deadline)
+            energy, speeds = rc.solve_sp(new, g.costs, deadline)
+            assert energy == pytest.approx(old_energy, rel=1e-12)
+            assert speeds == pytest.approx(old_speeds, rel=1e-12)
+        elif new is not None:
+            only_new += 1
+            energy, speeds = rc.solve_sp(new, g.costs, deadline)
+            oracle, _, _ = support.unreduced_barrier(g.costs, g.edges, deadline)
+            assert energy == pytest.approx(oracle, rel=1e-9)
+            assert energy <= oracle * (1 + 1e-12)
+    assert both >= 300 and only_new >= 100
