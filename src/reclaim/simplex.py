@@ -1,9 +1,14 @@
-"""Dense two-phase simplex for small linear programs.
+"""Dense two-phase simplex with Bland's rule.
 
-Solves min c.x subject to A x <= b, x >= 0. The schedule programs this
-package produces stay well under a few hundred variables, so a plain
-tableau is entirely adequate, and Bland's rule makes every run
-deterministic and cycle-free at the cost of a few extra pivots.
+Solves min c.x subject to A x <= b, x >= 0. Bland's rule makes every run
+deterministic and cycle-free at the cost of a few extra pivots: the
+entering column is the lowest-index negative reduced cost, and the
+leaving row the minimum ratio among rows with a positive entry in that
+column, ties going to the lowest basis index. The choices are made in
+that order and the tolerance-aware ratio comparison is sequential, but
+each pivot's row operations run in numpy over the rows with a nonzero
+entry in the entering column only, so a pivot costs one outer product
+instead of a Python loop over the tableau.
 """
 
 from __future__ import annotations
@@ -52,42 +57,43 @@ def solve(c, A, b, max_pivots: int = 50_000) -> tuple[np.ndarray, float]:
 
     pivots = 0
 
+    def pivot(leave: int, enter: int) -> None:
+        # Row operations touch only the rows with a nonzero entry in the
+        # entering column; the others would be left unchanged anyway.
+        T[leave] /= T[leave, enter]
+        rows = np.flatnonzero(T[:, enter])
+        rows = rows[rows != leave]
+        T[rows] -= np.outer(T[rows, enter], T[leave])
+        basis[leave] = enter
+
     def iterate(obj: np.ndarray, allowed: int) -> int:
         # Bland: entering = lowest-index negative reduced cost; leaving =
         # min-ratio row, ties by lowest basis index. Returns pivot count.
         nonlocal pivots
         while True:
-            enter = -1
-            for j in range(allowed):
-                if obj[j] < -PIVOT_TOL:
-                    enter = j
-                    break
-            if enter < 0:
+            negative = np.flatnonzero(obj[:allowed] < -PIVOT_TOL)
+            if not negative.size:
                 return pivots
+            enter = int(negative[0])
+            col = T[:, enter]
+            rows = np.flatnonzero(col > PIVOT_TOL)
+            ratios = T[rows, -1] / col[rows]
             leave = -1
             best = np.inf
-            for r in range(m):
-                coef = T[r, enter]
-                if coef > PIVOT_TOL:
-                    ratio = T[r, -1] / coef
-                    if ratio < best - PIVOT_TOL or (
-                        abs(ratio - best) <= PIVOT_TOL
-                        and (leave < 0 or basis[r] < basis[leave])
-                    ):
-                        best = ratio
-                        leave = r
+            for r, ratio in zip(rows.tolist(), ratios.tolist()):
+                if ratio < best - PIVOT_TOL or (
+                    abs(ratio - best) <= PIVOT_TOL
+                    and (leave < 0 or basis[r] < basis[leave])
+                ):
+                    best = ratio
+                    leave = r
             if leave < 0:
                 raise LpNumericalError("unbounded ray met during pivoting")
             pivots += 1
             if pivots > max_pivots:
                 raise LpNumericalError(f"pivot guard tripped after {max_pivots} pivots")
-            piv = T[leave, enter]
-            T[leave, :] /= piv
-            for r in range(m):
-                if r != leave and T[r, enter] != 0.0:
-                    T[r, :] -= T[r, enter] * T[leave, :]
+            pivot(leave, enter)
             obj -= obj[enter] * T[leave, :]
-            basis[leave] = enter
 
     if k:
         # Phase 1: minimize the artificial total.
@@ -101,32 +107,26 @@ def solve(c, A, b, max_pivots: int = 50_000) -> tuple[np.ndarray, float]:
         if -obj1[-1] > 1e-7 * scale:
             raise LpInfeasibleError(f"constraints admit no solution (gap {-obj1[-1]:.3e})")
         # Pivot surviving artificials out, or drop their rows as redundant.
-        for r in range(m):
-            if basis[r] >= n + m:
-                for j in range(n + m):
-                    if abs(T[r, j]) > PIVOT_TOL:
-                        piv = T[r, j]
-                        T[r, :] /= piv
-                        for rr in range(m):
-                            if rr != r and T[rr, j] != 0.0:
-                                T[rr, :] -= T[rr, j] * T[r, :]
-                        basis[r] = j
-                        break
-                else:
-                    T[r, :] = 0.0  # redundant constraint
-                    basis[r] = -1
+        for r in np.flatnonzero(basis >= n + m).tolist():
+            nonzero = np.flatnonzero(np.abs(T[r, : n + m]) > PIVOT_TOL)
+            if nonzero.size:
+                pivot(r, int(nonzero[0]))
+            else:
+                T[r, :] = 0.0  # redundant constraint
+                basis[r] = -1
 
+    # Only structural variables cost anything, and basic columns are exact
+    # unit vectors, so a row's basic cost is still c's entry when reached.
     obj2 = np.zeros(width)
     obj2[:n] = c
-    for r in range(m):
-        if basis[r] >= 0 and obj2[basis[r]] != 0.0:
+    for r in np.flatnonzero((basis >= 0) & (basis < n)).tolist():
+        if obj2[basis[r]] != 0.0:
             obj2 -= obj2[basis[r]] * T[r, :]
     iterate(obj2, n + m)
 
     x = np.zeros(n)
-    for r in range(m):
-        if 0 <= basis[r] < n:
-            x[basis[r]] = T[r, -1]
+    structural = (basis >= 0) & (basis < n)
+    x[basis[structural]] = T[structural, -1]
     np.maximum(x, 0.0, out=x)  # scrub -1e-17 style dust
     value = float(c @ x)
     log.debug("simplex finished: %d pivots, objective %.12g", pivots, value)

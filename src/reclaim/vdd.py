@@ -4,6 +4,8 @@ A processor that can hop between a finite set of speeds mid-task turns
 the scheduling problem into an LP: one start-time variable per task plus
 one time-share variable per (task, mode) pair. Optimal energy drops out
 of the simplex solution together with an explicit segmented schedule.
+`solve_vdd` builds that LP on the series-reduced graph; `build_lp` itself
+takes any graph, and `--dump-lp` lists the whole execution graph's.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import simplex
+from .continuous import reduce_dag
 from .errors import DegenerateDurationError, InfeasibleError, LpInfeasibleError
 from .graph import (
     ConstantSpeed,
@@ -21,6 +24,7 @@ from .graph import (
     Schedule,
     Segments,
     SolveReport,
+    Task,
     evaluate_schedule,
     profile_duration,
     topological_order,
@@ -150,30 +154,52 @@ def format_lp(problem: LpProblem) -> str:
 
 
 def solve_vdd(g: ExecutionGraph, model: VddModel) -> tuple[Schedule, SolveReport]:
-    """Minimum-energy segmented schedule for the graph under the modes."""
-    problem = build_lp(g, model)
+    """Minimum-energy segmented schedule for the graph under the modes.
+
+    The LP is solved on `reduce_dag`'s residual, one task per group of
+    summed cost W. That is exact: at average speed s a unit of work costs
+    at least phi(s), the convex piecewise-linear interpolation of s^2
+    between the modes, so a chain given a window costs what one task of
+    its summed cost does, and attains it when every member runs the
+    group's mode mix. Member i gets the group's shares scaled by w_i/W,
+    and the members run back to back from the group's start. Diagnostics
+    report the solved LP's objective and variable count and the
+    residual's task count.
+    """
+    groups, residual = reduce_dag(g, g.topo_order)
+    heads = [group[0] for group in groups]
+    work = {head: sum(g.costs[tid] for tid in group) for head, group in zip(heads, groups)}
+    reduced = ExecutionGraph(
+        tasks=tuple(Task(head, w) for head, w in work.items()),
+        edges=frozenset((heads[u], heads[v]) for u, v in residual),
+        deadline=g.deadline,
+    )
+    problem = build_lp(reduced, model)
     try:
         x, objective = solve_lp(problem)
     except LpInfeasibleError as exc:
         raise InfeasibleError(f"deadline {g.deadline} unreachable with modes {model.modes}") from exc
 
-    order = topological_order(g)
-    n = len(order)
+    n = len(groups)
     m = len(model.modes)
+    slot = {head: i for i, head in enumerate(reduced.topo_order)}
     profiles: dict[str, Segments] = {}
     starts: dict[str, float] = {}
-    for i, tid in enumerate(order):
+    for head, group in zip(heads, groups):
+        i = slot[head]
         shares = x[n + i * m : n + (i + 1) * m]
-        parts = tuple(
-            (s, float(a)) for s, a in zip(model.modes, shares) if a >= SEGMENT_DROP
-        )
-        if not parts:  # cost > 0 forces work on every task
-            raise InfeasibleError(f"task {tid!r} received no execution time")
-        profiles[tid] = Segments(parts)
-        starts[tid] = float(x[i])
+        used = [(s, float(a)) for s, a in zip(model.modes, shares) if a >= SEGMENT_DROP]
+        if not used:  # cost > 0 forces work on every task
+            raise InfeasibleError(f"task {head!r} received no execution time")
+        begin = float(x[i])
+        for tid in group:
+            scale = g.costs[tid] / work[head]
+            profiles[tid] = Segments(tuple((s, a * scale) for s, a in used))
+            starts[tid] = begin
+            begin += sum(d for _, d in profiles[tid].parts)
     schedule = Schedule(profiles=profiles, starts=starts)
     log.info("vdd: objective %.12g over %d variables", objective, len(problem.var_names))
-    diagnostics = {"objective": objective, "variables": len(problem.var_names)}
+    diagnostics = {"objective": objective, "variables": len(problem.var_names), "reduced_tasks": n}
     return schedule, replace(evaluate_schedule(g, schedule), diagnostics=diagnostics)
 
 

@@ -471,6 +471,124 @@ def fork_energy_given_root_speed(w0, branch_costs, deadline, s0, s_max=math.inf)
 
 
 # ---------------------------------------------------------------------------
+# oracle: the mode-hopping LP on the whole graph, by a row-loop simplex
+# ---------------------------------------------------------------------------
+
+
+def bland_simplex(c, A, b, tol=1e-10):
+    """Two-phase tableau simplex with Bland's rule, one row at a time.
+
+    Solves min c.x over {A x <= b, x >= 0} by the same pivoting rules and
+    tolerance as `reclaim.simplex.solve`, with every ratio test and row
+    operation written as a plain loop over the tableau's rows. Returns
+    (x, objective, pivots); raises ValueError on an empty polyhedron and
+    ArithmeticError on an unbounded ray.
+    """
+    import numpy as np
+
+    c = np.asarray(c, dtype=float)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = A.shape
+    neg = b < 0
+    art_rows = np.flatnonzero(neg)
+    k = len(art_rows)
+    width = n + m + k + 1
+    T = np.zeros((m, width))
+    T[:, :n] = A
+    T[:, n : n + m] = np.eye(m)
+    T[:, -1] = b
+    T[neg, :] *= -1.0
+    basis = np.array([n + i for i in range(m)], dtype=int)
+    for j, row in enumerate(art_rows):
+        T[row, n + m + j] = 1.0
+        basis[row] = n + m + j
+    pivots = 0
+
+    def eliminate(leave, enter):
+        T[leave, :] /= T[leave, enter]
+        for r in range(m):
+            if r != leave and T[r, enter] != 0.0:
+                T[r, :] -= T[r, enter] * T[leave, :]
+        basis[leave] = enter
+
+    def iterate(obj, allowed):
+        nonlocal pivots
+        while True:
+            enter = next((j for j in range(allowed) if obj[j] < -tol), -1)
+            if enter < 0:
+                return
+            leave, best = -1, np.inf
+            for r in range(m):
+                coef = T[r, enter]
+                if coef > tol:
+                    ratio = T[r, -1] / coef
+                    if ratio < best - tol or (
+                        abs(ratio - best) <= tol and (leave < 0 or basis[r] < basis[leave])
+                    ):
+                        best, leave = ratio, r
+            if leave < 0:
+                raise ArithmeticError("unbounded ray")
+            pivots += 1
+            eliminate(leave, enter)
+            obj -= obj[enter] * T[leave, :]
+
+    if k:
+        obj1 = np.zeros(width)
+        obj1[n + m : n + m + k] = 1.0
+        for row in art_rows:
+            obj1 -= T[row, :]
+        iterate(obj1, n + m)
+        if -obj1[-1] > 1e-7 * (1.0 + float(np.max(np.abs(b)))):
+            raise ValueError("no feasible point")
+        for r in range(m):
+            if basis[r] >= n + m:
+                for j in range(n + m):
+                    if abs(T[r, j]) > tol:
+                        eliminate(r, j)
+                        break
+                else:
+                    T[r, :] = 0.0
+                    basis[r] = -1
+    obj2 = np.zeros(width)
+    obj2[:n] = c
+    for r in range(m):
+        if basis[r] >= 0 and obj2[basis[r]] != 0.0:
+            obj2 -= obj2[basis[r]] * T[r, :]
+    iterate(obj2, n + m)
+    x = np.zeros(n)
+    for r in range(m):
+        if 0 <= basis[r] < n:
+            x[basis[r]] = T[r, -1]
+    np.maximum(x, 0.0, out=x)
+    return x, float(c @ x), pivots
+
+
+def unreduced_vdd(g, model, drop=1e-12):
+    """The mode-hopping LP of the whole execution graph, solved and expanded.
+
+    Builds `reclaim.vdd.build_lp(g, model)` (one start time and one share
+    per mode for every task), solves it with `bland_simplex` and reads
+    each task's profile off its own shares, dropping shares below `drop`.
+    Returns (energy, profiles, starts): energy is the sum of s^3 d over
+    the kept slices, profiles map id -> [(speed, duration), ...].
+    """
+    from reclaim.vdd import build_lp
+
+    problem = build_lp(g, model)
+    x, _, _ = bland_simplex(problem.objective, problem.lhs, problem.rhs)
+    order = [name[2:-1] for name in problem.var_names if name.startswith("b[")]
+    n, m = len(order), len(model.modes)
+    profiles, starts = {}, {}
+    for i, tid in enumerate(order):
+        shares = x[n + i * m : n + (i + 1) * m]
+        profiles[tid] = [(s, float(a)) for s, a in zip(model.modes, shares) if a >= drop]
+        starts[tid] = float(x[i])
+    energy = sum(s**3 * d for parts in profiles.values() for s, d in parts)
+    return energy, profiles, starts
+
+
+# ---------------------------------------------------------------------------
 # random generators (plain data; tests build the real objects)
 # ---------------------------------------------------------------------------
 

@@ -1,13 +1,17 @@
 """Dense two-phase simplex: known optima, failure modes, random cross-checks."""
 
 import itertools
+import logging
 import random
 
 import numpy as np
 import pytest
 
+import reclaim as rc
+import support
 from reclaim import LpInfeasibleError, LpNumericalError
 from reclaim import simplex
+from reclaim.vdd import build_lp
 
 
 def test_known_optimum():
@@ -107,3 +111,40 @@ def test_solution_vector_is_clean():
     x, _ = simplex.solve([-1.0, 0.0], [[1.0, 1.0]], [2.0])
     assert all(v >= 0.0 for v in x)
     assert len(x) == 2
+
+
+def _random_lp(rng):
+    """One LP of `test_matches_vertex_enumeration_on_random_lps`'s kind."""
+    n = rng.randint(2, 4)
+    m = rng.randint(2, 4)
+    A = [[rng.randint(-3, 4) for _ in range(n)] for _ in range(m)]
+    x_star = [rng.randint(0, 3) for _ in range(n)]
+    b = [sum(A[i][j] * x_star[j] for j in range(n)) + rng.randint(0, 4) for i in range(m)]
+    A.append([1.0] * n)
+    b.append(float(sum(x_star) + 10))
+    c = [rng.randint(-4, 4) for _ in range(n)]
+    return c, A, b
+
+
+def test_vectorised_pivots_match_the_row_loop(build, caplog, monkeypatch):
+    rng = random.Random(42)
+    lps = [_random_lp(rng) for _ in range(60)]
+    for _ in range(30):
+        tasks, prec, alloc = support.random_instance(rng, rng.randint(3, 12), n_proc=3)
+        modes = sorted({round(rng.uniform(0.5, 6.0), 3) for _ in range(rng.randint(2, 5))})
+        edges = support.all_edges(prec, alloc)
+        deadline = support.pick_deadline(rng, tasks, edges, modes[-1], (1.02, 3.0))
+        problem = build_lp(build(tasks, prec, [q for _, q in alloc], deadline),
+                           rc.VddModel(tuple(modes)))
+        lps.append((problem.objective, problem.lhs, problem.rhs))
+    # The CLI stops the package logger from propagating; let records through.
+    monkeypatch.setattr(logging.getLogger("reclaim"), "propagate", True)
+    caplog.set_level(logging.DEBUG, logger="reclaim.simplex")
+    for c, A, b in lps:
+        caplog.clear()
+        x, obj = simplex.solve(c, A, b)
+        (record,) = [r for r in caplog.records if r.msg.startswith("simplex finished")]
+        x_ref, obj_ref, pivots_ref = support.bland_simplex(c, A, b)
+        assert x.tobytes() == x_ref.tobytes()
+        assert obj == obj_ref
+        assert record.args[0] == pivots_ref

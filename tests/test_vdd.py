@@ -1,11 +1,14 @@
 """Mode-hopping model: LP construction, solutions, and orderings."""
 
+import json
 import random
 
 import pytest
 
 import reclaim as rc
 import support
+from reclaim import continuous as cont
+from reclaim.cli import main
 from reclaim.graph import profile_duration
 from reclaim.vdd import build_lp, format_lp
 
@@ -135,3 +138,55 @@ def test_energy_identity_and_orderings():
             )
             assert schedule.starts[v] >= end_u - 1e-7 * max(1.0, end_u)
         done += 1
+
+
+def test_reduced_lp_matches_the_whole_graph_lp(build):
+    rng = random.Random(71)
+    for trial in range(200):
+        n = rng.randint(2, 12)
+        tasks, prec, alloc = support.random_instance(
+            rng, n, n_proc=rng.randint(1, 4), p_edge=rng.choice((0.1, 0.25, 0.4))
+        )
+        if trial % 2:
+            # Repeat some processor-order pairs as precedence edges.
+            prec += [pair for _, q in alloc for pair in zip(q, q[1:]) if rng.random() < 0.5]
+        modes = sorted({round(rng.uniform(0.5, 6.0), 3) for _ in range(rng.randint(1, 5))})
+        edges = support.all_edges(prec, alloc)
+        deadline = support.pick_deadline(rng, tasks, edges, modes[-1], (1.02, 3.0))
+        g = build(tasks, prec, [q for _, q in alloc], deadline)
+        model = rc.VddModel(tuple(modes))
+        energy, _, _ = support.unreduced_vdd(g, model)
+        schedule, report = rc.solve_vdd(g, model)
+        assert report.energy == pytest.approx(energy, rel=1e-9)
+        assert report.feasible
+        groups, _ = cont.reduce_dag(g, g.topo_order)
+        assert report.diagnostics["reduced_tasks"] == len(groups)
+        assert report.diagnostics["variables"] == len(groups) * (len(modes) + 1)
+        for group in groups:
+            used = [s for s, _ in schedule.profiles[group[0]].parts]
+            for tid in group:
+                assert [s for s, _ in schedule.profiles[tid].parts] == used
+        durations = {tid: profile_duration(p, g.costs[tid]) for tid, p in schedule.profiles.items()}
+        for u, v in g.edges:
+            end_u = schedule.starts[u] + durations[u]
+            assert schedule.starts[v] >= end_u - 1e-9 * max(1.0, end_u)
+        assert all(
+            schedule.starts[tid] + durations[tid] <= deadline * (1 + 1e-9) for tid in g.costs
+        )
+
+
+def test_dump_lp_is_the_whole_program(capsys, example4, example4_path, tmp_path):
+    # T3 -> T4 contracts, so the solved LP has three tasks; the dump keeps four.
+    # (capsys: the CLI binds its log handler to the stderr of its first call.)
+    dump = tmp_path / "lp.txt"
+    out = tmp_path / "report.json"
+    code = main(["solve", example4_path, "--model", "vdd",
+                 "--modes", "2,5,6", "--dump-lp", str(dump), "--out", str(out)])
+    assert code == 0
+    model = rc.VddModel((2.0, 5.0, 6.0))
+    assert dump.read_text() == format_lp(build_lp(example4, model))
+    assert "alpha[T4,6]" in dump.read_text()
+    report = json.loads(out.read_text())
+    assert report["diagnostics"]["reduced_tasks"] == 3
+    assert report["diagnostics"]["variables"] == 12
+    assert report["energy"] == pytest.approx(144.0, rel=1e-6)
