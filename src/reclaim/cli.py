@@ -57,6 +57,12 @@ EXIT_BUDGET = 3
 log = logging.getLogger("reclaim.cli")
 
 
+class _StderrHandler(logging.StreamHandler):
+    # Writes to sys.stderr as it is when a record arrives: a host or a test
+    # harness may replace sys.stderr between calls, and close the old one.
+    stream = property(lambda self: sys.stderr, lambda self, value: None)
+
+
 def main(argv=None) -> int:
     _configure_logging()
     parser = _build_parser()
@@ -89,7 +95,7 @@ def _configure_logging() -> None:
     levels = {"off": logging.CRITICAL + 10, "info": logging.INFO, "debug": logging.DEBUG}
     logger = logging.getLogger("reclaim")
     if not logger.handlers:
-        handler = logging.StreamHandler(sys.stderr)
+        handler = _StderrHandler()
         handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
         logger.addHandler(handler)
         logger.propagate = False

@@ -4,12 +4,13 @@ One closed form covers the graph classes where the optimum has a known
 shape: forests (independent tasks, chains, fork/join stars and trees)
 and series-parallel graphs share one decomposition, and `solve_sp`
 applies the paper's rule to it (equivalent costs bottom-up, windows
-top-down). A log-barrier solver handles arbitrary DAGs, on what is left
-once transitive edges are dropped and series chains contracted; the same
-reduction, with parallel merges added, recognises series-parallel graphs.
-Constant per-task speed is optimal in this model, so every solver here
-returns one speed per task, and the power-profile helpers verify the
-flat-power signature of an interior optimum.
+top-down). A primal-dual interior point handles arbitrary DAGs, on what
+is left once transitive edges are dropped and series chains contracted;
+the same reduction, with parallel merges added, recognises
+series-parallel graphs. Constant per-task speed is optimal in this
+model, so every solver here returns one speed per task, and the
+power-profile helpers verify the flat-power signature of an interior
+optimum.
 """
 
 from __future__ import annotations
@@ -291,13 +292,13 @@ def solve_tree(
 
 
 # ---------------------------------------------------------------------------
-# General DAGs: log-barrier interior point over durations and completions
+# General DAGs: primal-dual interior point over durations and completions
 
 
-BARRIER_GROWTH = 10.0
-GAP_TOL = 1e-9
-NEWTON_TOL = 1e-12
-MAX_NEWTON = 4000
+MAX_ITERATIONS = 100
+GAP_TARGET = 1e-9  # relative gap that ends the loop at once
+GAP_FLOOR = 1e-8  # relative gap accepted once the bound stops improving
+CENTRING = 0.1  # floor of the centring target, per row, as a share of the residual's gap
 
 
 def solve_dag(g: ExecutionGraph, s_max: float = math.inf) -> tuple[Schedule, SolveReport]:
@@ -306,13 +307,15 @@ def solve_dag(g: ExecutionGraph, s_max: float = math.inf) -> tuple[Schedule, Sol
     The graph is first reduced exactly (see `reduce_dag`): transitive
     edges go, and each series chain becomes one task of summed cost whose
     members share its speed. On the residual the solver minimizes
-    sum w^3 / d^2 over durations d and completion times t with the
-    precedence, window, and speed-cap constraints kept strictly feasible
-    by a log barrier. When the deadline equals the all-cap critical path,
-    the tasks without float are pinned at the cap and the barrier solves
-    the others in the windows the pinned tasks leave them. Diagnostics
-    report the Newton iteration count, the final duality measure, a
-    scaled stationarity residual and the residual's task count.
+    sum w^3 / d^2 over durations d and completion times t under the
+    precedence, window, and speed-cap constraints with a primal-dual
+    interior point. When the deadline equals the all-cap critical path,
+    the tasks without float are pinned at the cap and the interior point
+    solves the others in the windows the pinned tasks leave them.
+    Diagnostics report the iteration count, a weak-duality certificate
+    (a lower bound on the optimal energy and the relative gap to it, also
+    as the absolute ``duality_gap``), a scaled stationarity residual and
+    the residual's task count.
     """
     groups, edges = reduce_dag(g, topological_order(g))
     n = len(groups)
@@ -331,7 +334,7 @@ def solve_dag(g: ExecutionGraph, s_max: float = math.inf) -> tuple[Schedule, Sol
     if cp >= D * (1 - 1e-9):
         speeds, diagnostics = _solve_pinned(w, edges, done, max(cp, D), s_max)
     else:
-        speeds, diagnostics = _barrier(w, edges, release, np.full(n, D), s_max)
+        speeds, diagnostics = _interior_point(w, edges, release, np.full(n, D), s_max)
     diagnostics["reduced_tasks"] = n
     per_task = {tid: s for group, s in zip(groups, speeds) for tid in group}
     return constant_schedule(g, per_task, diagnostics)
@@ -491,22 +494,33 @@ def _solve_pinned(w, edges, done, horizon, s_max):
         elif not pinned[u]:
             sub_edges.append((index[u], index[v]))
     speeds = np.full(n, s_max)
-    speeds[free], diagnostics = _barrier(w[free], sub_edges, release, due, s_max)
+    speeds[free], diagnostics = _interior_point(w[free], sub_edges, release, due, s_max)
+    # The pinned tasks' energy is fixed, so it adds to the bound as it is.
+    certificate = diagnostics["certificate"]
+    certificate["lower_bound"] += float(np.sum(w[pinned])) * s_max**2
+    certificate["gap"] = diagnostics["duality_gap"] / (
+        certificate["lower_bound"] + diagnostics["duality_gap"]
+    )
     diagnostics["pinned"] = True
     return speeds, diagnostics
 
 
-def _barrier(w, edges, release, due, s_max):
+def _interior_point(w, edges, release, due, s_max):
     """Speeds and diagnostics of the tasks ``w`` (in topological order)
     under ``edges``, each run between its release and due times.
 
     The caller guarantees an interior: with every task at the cap (or,
     uncapped, at some common speed), each one finishes before it is due.
+    Mehrotra's predictor-corrector runs on the rows A x >= b of
+    `_constraints` with slacks s and multipliers lam, and stops on the
+    weak-duality bound of `_lower_bound`.
     """
     n = len(w)
     if n <= 1:
         # One task, one window; keep the trivial answer exact.
-        return w / (due - release), {"iterations": 0, "residual": 0.0}
+        speeds = w / (due - release)
+        energy = float(np.sum(w * speeds**2))
+        return speeds, _diagnostics(0, 0.0, energy, energy)
 
     if math.isfinite(s_max):
         d0 = w / s_max
@@ -522,153 +536,115 @@ def _barrier(w, edges, release, due, s_max):
     x = np.concatenate([beta * d0, beta * t0 + cushion * (depth + 1.0)])
 
     lb = w / s_max if math.isfinite(s_max) else np.zeros(n)
-    A, rhs = _constraints(n, edges, lb, release, due)
-    m_rows = A.shape[0]
-
-    def objective(xv: np.ndarray) -> float:
-        return float(np.sum(w**3 / xv[:n] ** 2))
-
-    def grad_f(xv: np.ndarray) -> np.ndarray:
-        out = np.zeros(2 * n)
-        out[:n] = -2.0 * w**3 / xv[:n] ** 3
-        return out
-
-    t_barrier = 1.0
-    iterations = 0
-    rounds = 0
-    while True:
-        rounds += 1
-        x, iterations = _center(
-            x, t_barrier, A, rhs, w, n, objective, grad_f, iterations
-        )
-        f_val = objective(x)
-        gap = m_rows / t_barrier
-        if gap <= GAP_TOL * max(1.0, abs(f_val)):
+    A, b, box = _constraints(n, edges, lb, release, due)
+    m = len(b)
+    w3 = w**3
+    # Start every row at the same complementarity, the energy shared out.
+    lam = float(np.sum(w3 / x[:n] ** 2)) / m / (A @ x - b)
+    best = None
+    for iterations in range(MAX_ITERATIONS + 1):
+        d = x[:n]
+        energy = float(np.sum(w3 / d**2))
+        grad = np.zeros(2 * n)
+        grad[:n] = -2.0 * w3 / d**3
+        r_dual = grad - A.T @ lam
+        s = A @ x - b
+        comp = float(lam @ s)
+        gap = energy - _lower_bound(energy, r_dual, comp, x, box)
+        if best is None or gap < best[0]:
+            residual = float(np.max(np.abs(r_dual))) / max(1.0, float(np.max(np.abs(grad))))
+            best = (gap, energy, x, residual)
+            if gap <= GAP_TARGET * energy:
+                break
+        elif best[0] <= GAP_FLOOR * best[1]:
+            break  # the bound stopped improving, close enough
+        if iterations == MAX_ITERATIONS:
             break
-        t_barrier *= BARRIER_GROWTH
-        if iterations > MAX_NEWTON:
-            raise NoConvergenceError(
-                f"barrier stalled after {iterations} Newton steps (gap {gap:.3e})",
-                iterations=iterations,
-                residual=gap,
-            )
 
-    residual = _stationarity_residual(x, t_barrier, A, rhs, grad_f)
-    extra = 0
-    while residual > 1e-8 and extra < 6 and iterations <= MAX_NEWTON:
-        # The contract asks for a certified residual; crank the barrier a
-        # little further when the multiplier estimate is not there yet.
-        extra += 1
-        t_barrier *= BARRIER_GROWTH
-        x, iterations = _center(
-            x, t_barrier, A, rhs, w, n, objective, grad_f, iterations
+        # H = A' diag(lam / s) A + the Hessian of f, formed once per iteration.
+        H = (A.T * (lam / s)) @ A
+        H[np.arange(n), np.arange(n)] += 6.0 * w3 / d**4
+
+        def direction(rc):
+            # The Newton step of grad f = A' lam, with ds = A dx and
+            # lam * ds + s * dlam = rc for the products s * lam.
+            rhs = A.T @ (rc / s) - r_dual
+            try:
+                dx = np.linalg.solve(H, rhs)
+            except np.linalg.LinAlgError:
+                dx = np.linalg.lstsq(H, rhs, rcond=None)[0]
+            ds = A @ dx
+            return dx, ds, (rc - lam * ds) / s
+
+        mu = comp / m
+        _, ds_aff, dlam_aff = direction(-s * lam)
+        s_aff = s + min(1.0, _to_boundary(s, ds_aff)) * ds_aff
+        lam_aff = lam + min(1.0, _to_boundary(lam, dlam_aff)) * dlam_aff
+        # Mehrotra's centring target, kept from falling below a share of
+        # the gap that the dual residual still owes: with a nonlinear f the
+        # residual can fall slower than lam' s, and iterates that reach the
+        # boundary first stall there.
+        target = max((float(s_aff @ lam_aff) / m / mu) ** 3 * mu, CENTRING * (gap - comp) / m)
+        dx, ds, dlam = direction(target - s * lam - ds_aff * dlam_aff)
+        # One step for all: 0.99 of the way to the boundary, and no
+        # duration below half its current value.
+        alpha = min(1.0, 0.99 * min(_to_boundary(s, ds), _to_boundary(lam, dlam)),
+                    _to_boundary(d, 2.0 * dx[:n]))
+        if not (alpha > 0 and np.isfinite(dx).all() and np.isfinite(dlam).all()):
+            break  # no way on from here; the best iterate stands if certified
+        x = x + alpha * dx
+        lam = lam + alpha * dlam
+
+    gap, energy, x, residual = best
+    if gap > GAP_FLOOR * energy:
+        raise NoConvergenceError(
+            f"interior point stopped after {iterations} iterations "
+            f"(relative gap {gap / energy:.3e})",
+            iterations=iterations,
+            residual=gap / energy,
         )
-        residual = min(
-            residual, _stationarity_residual(x, t_barrier, A, rhs, grad_f)
-        )
-    if residual > 1e-8:
-        log.warning("stationarity residual %.2e above the 1e-8 target", residual)
     speeds = w / x[:n]
     if math.isfinite(s_max):
         np.minimum(speeds, s_max, out=speeds)
-    diagnostics = {
-        "iterations": iterations,
-        "residual": residual,
-        "duality_gap": m_rows / t_barrier,
-        "barrier_rounds": rounds,
-    }
-    log.info(
-        "dag solve: %d tasks, %d newton steps, residual %.2e",
-        n,
-        iterations,
-        residual,
-    )
-    return speeds, diagnostics
+    log.info("dag solve: %d tasks, %d iterations, relative gap %.2e", n, iterations, gap / energy)
+    return speeds, _diagnostics(iterations, residual, energy, energy - gap)
 
 
-def _stationarity_residual(x, t_barrier, A, rhs, grad_f) -> float:
-    """Scaled KKT stationarity residual at x, with refined multipliers.
+def _lower_bound(energy, r_dual, complementarity, x, box):
+    """Weak-duality lower bound on the optimum, from any point x and any
+    multipliers lam >= 0.
 
-    The central-path estimate lam_j = 1/(t * slack_j) is only as centered
-    as the last Newton pass; a least-squares fit of the near-active
-    multipliers certifies stationarity several orders tighter. Both
-    candidates are scored and the smaller residual wins.
+    For feasible y, convexity and lam' (A y - b) >= 0 give
+    f(y) >= f(x) - lam' (A x - b) + r' (y - x) with r = grad f(x) - A' lam,
+    and y lies in ``box`` = (lo, hi), where r' (y - x) is smallest at a corner.
     """
-    slack = A @ x - rhs
-    lam = 1.0 / (t_barrier * slack)
-    grad0 = grad_f(x)
-    scale = max(1.0, float(np.max(np.abs(grad0))))
-
-    def score(lam_vec: np.ndarray) -> float:
-        return float(np.max(np.abs(grad0 - A.T @ lam_vec))) / scale
-
-    best = score(lam)
-    support = lam > 1e-6 * max(1.0, float(lam.max()))
-    for _ in range(5):
-        if not support.any():
-            break
-        mu, *_ = np.linalg.lstsq(A[support].T, grad0, rcond=None)
-        if (mu >= 0.0).all():
-            refined = np.zeros_like(lam)
-            refined[support] = mu
-            best = min(best, score(refined))
-            break
-        # Negative multipliers mark constraints that do not bind; drop them.
-        keep = np.zeros_like(support)
-        keep[support] = mu > 0.0
-        support = keep
-    return best
+    lo, hi = box
+    return energy - complementarity + float(np.sum(np.minimum(r_dual * (lo - x), r_dual * (hi - x))))
 
 
-def _center(x, t_barrier, A, rhs, w, n, objective, grad_f, iterations):
-    # Newton descent on t*f(x) - sum log(slack), with a fraction-to-the-
-    # boundary cap and Armijo backtracking. The decrement is computed
-    # from the quadratic form, which stays accurate when t is huge.
-    for _ in range(200):
-        slack = A @ x - rhs
-        inv = 1.0 / slack
-        grad = t_barrier * grad_f(x) - A.T @ inv
-        hess = (A.T * inv**2) @ A
-        dd = np.zeros(2 * n)
-        dd[:n] = t_barrier * 6.0 * w**3 / x[:n] ** 4
-        hess[np.diag_indices_from(hess)] += dd
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-        decrement = float(step @ (hess @ step))
-        iterations += 1
-        if decrement / 2.0 <= NEWTON_TOL:
-            return x, iterations
-        if iterations > MAX_NEWTON:
-            return x, iterations
+def _to_boundary(v, dv):
+    # The largest step a with v + a * dv >= 0, for v > 0.
+    shrinking = dv < 0
+    if not shrinking.any():
+        return math.inf
+    return float(np.min(-v[shrinking] / dv[shrinking]))
 
-        ray = A @ step
-        limit = np.inf
-        blocking = ray < 0
-        if blocking.any():
-            limit = float(np.min(-slack[blocking] / ray[blocking]))
-        alpha = min(1.0, 0.99 * limit)
 
-        def phi(xv):
-            return t_barrier * objective(xv) - float(np.sum(np.log(A @ xv - rhs)))
-
-        base = phi(x)
-        noise = 1e-12 * abs(base)
-        while alpha > 1e-12:
-            trial = x + alpha * step
-            if (A @ trial - rhs).min() > 0 and phi(trial) <= base - 0.25 * alpha * decrement + noise:
-                x = trial
-                break
-            alpha *= 0.5
-        else:
-            return x, iterations  # at the numerical floor for this center
-    return x, iterations
+def _diagnostics(iterations, residual, energy, lower):
+    return {
+        "iterations": iterations,
+        "barrier_rounds": 1 if iterations else 0,
+        "residual": residual,
+        "duality_gap": energy - lower,
+        "certificate": {"lower_bound": lower, "gap": (energy - lower) / energy if energy else 0.0},
+    }
 
 
 def _constraints(n, edges, lb, release, due):
     # Rows of A x >= rhs, stored as (A, rhs): duration floors, release
-    # times (t_i - d_i >= r_i), precedence gaps, due-time ceilings.
+    # times (t_i - d_i >= r_i), precedence gaps, due-time ceilings. The
+    # box (lo, hi) holds every feasible x: d_i in [lb_i, due_i - r_i] and
+    # t_i in [r_i, due_i].
     rows = n + n + len(edges) + n
     A = np.zeros((rows, 2 * n))
     rhs = np.zeros(rows)
@@ -691,7 +667,8 @@ def _constraints(n, edges, lb, release, due):
         A[r, n + i] = -1.0
         rhs[r] = -due[i]
         r += 1
-    return A, rhs
+    box = (np.concatenate([lb, release]), np.concatenate([due - release, due]))
+    return A, rhs, box
 
 
 def _asap_vector(n, edges, durations, release):

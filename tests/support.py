@@ -213,13 +213,14 @@ def tree_rule(costs, roots, children, order, deadline, s_max=math.inf, rel_tol=1
 
 
 def unreduced_barrier(costs, edges, deadline, s_max=math.inf):
-    """The log-barrier DAG solver run on the whole graph, with no reduction.
+    """A log-barrier DAG solver run on the whole graph, with no reduction.
 
     `costs` maps id -> work and `edges` lists (u, v) pairs. Minimizes
     Σ w³/d² over durations d and completion times t, subject to d ≥ w/s_max,
-    t - d ≥ 0, t_v - d_v ≥ t_u on every edge and t ≤ deadline, by the same
-    barrier rounds, Newton centring and multiplier refinement as the
-    package's solver, on one variable pair per task. The deadline must
+    t - d ≥ 0, t_v - d_v ≥ t_u on every edge and t ≤ deadline, by barrier
+    rounds, damped Newton centring and a least-squares multiplier fit, on
+    one variable pair per task. It shares no code and no method with the
+    package's primal-dual solver, which makes it an oracle. The deadline must
     leave an interior (at the cap, the critical path must be shorter).
     Returns (energy, speeds, residual).
     """

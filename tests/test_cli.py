@@ -1,7 +1,10 @@
 """End-to-end runs of the command-line interface (in-process)."""
 
+import io
 import json
+import os
 import random
+import sys
 
 import pytest
 
@@ -540,3 +543,18 @@ def test_log_env_var(capsys, example4_path, monkeypatch):
                        "--smax", "6", "--structure", "dag")
     assert code == 0
     assert err == ""
+
+
+def test_log_follows_the_current_stderr(capsys, example4_path, monkeypatch):
+    # A first call under another stderr must not keep the log there.
+    monkeypatch.setenv("RECLAIM_LOG", "debug")
+    elsewhere = io.StringIO()
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stderr", elsewhere)
+        assert main(["solve", example4_path, "--model", "continuous", "--smax", "6",
+                     "--structure", "dag", "--out", os.devnull]) == 0
+    assert "reclaim" in elsewhere.getvalue()
+    code, _, err = run(capsys, "solve", example4_path, "--model", "continuous",
+                       "--smax", "6", "--structure", "dag")
+    assert code == 0
+    assert "reclaim.continuous: dag solve" in err

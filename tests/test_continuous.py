@@ -1,9 +1,14 @@
-"""Closed forms, the barrier solver, and the power-profile checks."""
+"""Closed forms, the interior-point solver, and the power-profile checks."""
 
+import importlib
 import json
+import logging
 import math
+import os
+import pathlib
 import random
 
+import numpy as np
 import pytest
 
 import reclaim as rc
@@ -322,7 +327,7 @@ def test_spg_agrees_with_numeric_solver(build):
 
 
 # ---------------------------------------------------------------------------
-# the barrier solver
+# the interior-point solver
 
 
 def test_dag_worked_example(example4):
@@ -517,6 +522,137 @@ def test_dag_respects_the_cap(build):
         _, report = rc.solve_dag(g, s_max)
         assert all(s <= s_max * (1 + 1e-9) for s in report.speeds.values())
         assert report.feasible
+
+
+def _certified(report, limit=1e-8):
+    d = report.diagnostics
+    lower, gap = d["certificate"]["lower_bound"], d["certificate"]["gap"]
+    assert gap <= limit
+    assert lower <= report.energy * (1 + 1e-12)
+    assert d["duality_gap"] == pytest.approx(report.energy - lower, rel=1e-6, abs=1e-9 * report.energy)
+    assert d["residual"] <= 1e-8
+    return lower
+
+
+def test_certified_bound_is_below_the_unreduced_barrier(build):
+    rng = random.Random(71)
+    for _ in range(24):
+        tasks, prec, alloc = support.random_instance(rng, rng.randint(3, 12), n_proc=rng.randint(1, 4))
+        edges = support.all_edges(prec, alloc)
+        deadline = support.pick_deadline(rng, tasks, edges, 2.0, (1.2, 2.5))
+        g = build(tasks, prec, [q for _, q in alloc], deadline)
+        free_energy, free_speeds, _ = support.unreduced_barrier(g.costs, edges, deadline)
+        low = support.ref_makespan(edges, g.costs) / deadline
+        top = max(free_speeds.values())
+        _, report = rc.solve_dag(g)
+        assert _certified(report) <= free_energy * (1 + 1e-12)
+        if top > low * (1 + 1e-3):
+            s_max = (low + top) / 2
+            energy, _, _ = support.unreduced_barrier(g.costs, edges, deadline, s_max)
+            _, report = rc.solve_dag(g, s_max)
+            assert _certified(report) <= energy * (1 + 1e-12)
+        # Pinned: the critical path at the cap fills the deadline, so every
+        # task at the cap is a feasible schedule.
+        s_max = support.ref_makespan(edges, g.costs) / deadline
+        _, report = rc.solve_dag(g, s_max)
+        assert report.diagnostics["pinned"]
+        assert _certified(report) <= sum(g.costs.values()) * s_max**2 * (1 + 1e-12)
+
+
+def test_no_multipliers_bound_above_a_feasible_energy():
+    # The weak-duality bound holds for any point with positive durations
+    # and any multipliers >= 0, optimal or not.
+    rng = random.Random(73)
+    for _ in range(20):
+        tasks, prec, alloc = support.random_instance(rng, rng.randint(2, 10), n_proc=rng.randint(1, 3))
+        edges = support.all_edges(prec, alloc)
+        deadline = support.pick_deadline(rng, tasks, edges, 2.0, (1.2, 2.5))
+        costs = dict(tasks)
+        capped = rng.random() < 0.5
+        # The uncapped optimum also obeys a cap above its top speed.
+        feasible, free_speeds, _ = support.unreduced_barrier(costs, edges, deadline)
+        top = max(free_speeds.values())
+        s_max = 1.5 * top if capped else math.inf
+        ids = sorted(costs)
+        index = {t: k for k, t in enumerate(ids)}
+        n = len(ids)
+        w = np.array([costs[t] for t in ids])
+        lb = w / s_max if capped else np.zeros(n)
+        A, b, box = cont._constraints(n, [(index[u], index[v]) for u, v in edges], lb,
+                                      np.zeros(n), np.full(n, deadline))
+        for _ in range(25):
+            x = np.concatenate([w / top * np.array([rng.uniform(0.1, 5.0) for _ in ids]),
+                                np.array([rng.uniform(0.0, deadline) for _ in ids])])
+            lam = np.array([rng.expovariate(1.0) * 10 ** rng.uniform(-3, 3)
+                            if rng.random() < 0.7 else 0.0 for _ in b])
+            energy = float(np.sum(w**3 / x[:n] ** 2))
+            grad = np.concatenate([-2.0 * w**3 / x[:n] ** 3, np.zeros(n)])
+            lower = cont._lower_bound(energy, grad - A.T @ lam, float(lam @ (A @ x - b)), x, box)
+            assert lower <= feasible * (1 + 1e-12)
+
+
+def test_iteration_cap_is_a_convergence_failure(capsys, example4, example4_path, monkeypatch):
+    monkeypatch.setattr(cont, "MAX_ITERATIONS", 1)
+    with pytest.raises(rc.NoConvergenceError) as failure:
+        rc.solve_dag(example4, 6.0)
+    assert failure.value.iterations == 1
+    code = main(["solve", example4_path, "--model", "continuous", "--smax", "6",
+                 "--structure", "dag", "--out", os.devnull])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "after 1 iterations" in err and "relative gap" in err
+
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def dag_family(monkeypatch):
+    """The benchmark's DAG generator, read from bench/gen.py as it is."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("gen").dag_family
+
+
+def _bench_instances(dag_family, build, seed):
+    # The dag-barrier workload's instances of one seed, after its warm-up.
+    rng = random.Random(seed)
+    dag_family(rng, 20, "warm")
+    for n, count in ((40, 2), (80, 2), (120, 1)):
+        for k in range(count):
+            inst = dag_family(rng, n, f"dag{n}-{k}")
+            edges = inst.edges()
+            g = build(list(inst.costs.items()), inst.precedence, inst.allocation, inst.deadline)
+            yield g, support.ref_makespan(edges, inst.costs) / inst.deadline
+
+
+def _bench_cap(low, top):
+    # The workload's cap: halfway to the uncapped top speed, as a user types it.
+    return float(f"{(low + top) / 2:.6g}" if top > low * (1 + 1e-3) else f"{1.25 * top:.6g}")
+
+
+def test_seed_18_first_instance_is_certified(build, dag_family, caplog, monkeypatch):
+    # 30 of the 98 rows are near-active at this optimum.
+    monkeypatch.setattr(logging.getLogger("reclaim"), "propagate", True)
+    caplog.set_level(logging.WARNING, logger="reclaim")
+    g, low = next(_bench_instances(dag_family, build, 18))
+    _, report = rc.solve_dag(g)
+    top = max(report.speeds.values())
+    _certified(report)
+    for s_max in (_bench_cap(low, top), top):
+        _, capped = rc.solve_dag(g, s_max)
+        _certified(capped)
+    assert not caplog.records
+
+
+def test_bench_shaped_solves_take_few_iterations(build, dag_family):
+    for seed in range(11, 21):
+        for g, low in _bench_instances(dag_family, build, seed):
+            _, report = rc.solve_dag(g)
+            _certified(report)
+            assert report.diagnostics["iterations"] <= 40
+            _, capped = rc.solve_dag(g, _bench_cap(low, max(report.speeds.values())))
+            _certified(capped)
+            assert capped.diagnostics["iterations"] <= 40
 
 
 # ---------------------------------------------------------------------------
