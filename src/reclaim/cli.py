@@ -10,6 +10,7 @@ default (``--pretty`` for humans). Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -35,15 +36,14 @@ from .errors import (
     WorkDeficitError,
 )
 from .graph import (
+    REL_TOL,
     ExecutionGraph,
     Schedule,
     SolveReport,
-    asap_times,
     constant_schedule,
-    evaluate_schedule,
     load_instance,
     load_schedule,
-    profile_duration,
+    retime,
     schedule_to_obj,
     with_asap_starts,
 )
@@ -119,7 +119,9 @@ def _values_arg(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"cannot parse integer list {text!r}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser as it found it.
     parser = argparse.ArgumentParser(
         prog="reclaim",
         description="Minimum-energy speed assignment for task graphs under a deadline.",
@@ -280,14 +282,23 @@ def _solve_continuous(g: ExecutionGraph, args) -> tuple[str, Schedule, SolveRepo
     return shape, *constant_schedule(g, per_task, {"closed_form_energy": energy})
 
 
-def cmd_validate(args) -> int:
+def _load_replay(args) -> tuple[ExecutionGraph, Schedule]:
+    """The instance and a schedule that lists exactly its tasks."""
     g = load_instance(args.instance)
     schedule = load_schedule(args.schedule)
-    report = evaluate_schedule(g, schedule)
-    durations = {tid: profile_duration(p, g.costs[tid]) for tid, p in schedule.profiles.items()}
-    _, completion = asap_times(g, durations)
-    tol = g.deadline * (1 + 1e-9)
-    violations = sorted(tid for tid, done in completion.items() if done > tol)
+    if schedule.profiles.keys() != g.costs.keys():
+        unknown = sorted(schedule.profiles.keys() - g.costs.keys())
+        missing = sorted(g.costs.keys() - schedule.profiles.keys())
+        raise ValueError(f"schedule tasks differ from the instance's: {len(unknown)} unknown "
+                         f"{unknown[:3]}, {len(missing)} missing {missing[:3]}")
+    return g, schedule
+
+
+def cmd_validate(args) -> int:
+    g, schedule = _load_replay(args)
+    _, completion, report = retime(g, schedule.profiles)
+    limit = g.deadline * (1 + REL_TOL)
+    violations = sorted(tid for tid, done in completion.items() if done > limit)
     payload = {
         "command": "validate",
         "feasible": report.feasible,
@@ -420,8 +431,7 @@ def cmd_gen2p(args) -> int:
 
 
 def cmd_power_profile(args) -> int:
-    g = load_instance(args.instance)
-    schedule = load_schedule(args.schedule)
+    g, schedule = _load_replay(args)
     if schedule.starts is None or set(schedule.starts) != set(schedule.profiles):
         schedule = with_asap_starts(g, schedule)
     profile = cont.power_profile(g, schedule, min_interval=args.min_interval)

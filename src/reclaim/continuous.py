@@ -30,6 +30,7 @@ from .graph import (
     Schedule,
     SolveReport,
     constant_schedule,
+    # Unused here; the benchmark's tracer and self-test look it up on this module.
     topological_order,
 )
 
@@ -317,7 +318,7 @@ def solve_dag(g: ExecutionGraph, s_max: float = math.inf) -> tuple[Schedule, Sol
     as the absolute ``duality_gap``), a scaled stationarity residual and
     the residual's task count.
     """
-    groups, edges = reduce_dag(g, topological_order(g))
+    groups, edges = reduce_dag(g)
     n = len(groups)
     D = g.deadline
     w = np.array([sum(g.costs[tid] for tid in group) for group in groups])
@@ -340,9 +341,7 @@ def solve_dag(g: ExecutionGraph, s_max: float = math.inf) -> tuple[Schedule, Sol
     return constant_schedule(g, per_task, diagnostics)
 
 
-def reduce_dag(
-    g: ExecutionGraph, order: Sequence[str]
-) -> tuple[list[list[str]], list[tuple[int, int]]]:
+def reduce_dag(g: ExecutionGraph) -> tuple[list[list[str]], list[tuple[int, int]]]:
     """Series reduction of the execution graph, exact for `solve_dag`.
 
     Drops every transitive edge u->v (durations are positive, so the other
@@ -353,6 +352,7 @@ def reduce_dag(
     order, listed in the topological order of their heads, and the
     residual edges as (group, group) index pairs.
     """
+    order = g.topo_order
     pos = {tid: i for i, tid in enumerate(order)}
     succ = [[pos[v] for v in g.successors[tid]] for tid in order]
     pred = [[pos[u] for u in g.predecessors[tid]] for tid in order]
@@ -531,9 +531,10 @@ def _interior_point(w, edges, release, due, s_max):
     t0 = _asap_vector(n, edges, d0, release)
     gamma = float(np.min(due / t0))
     beta = 1.0 + 0.9 * (gamma - 1.0)
-    depth = _depths(n, edges)
+    # Unit durations from zero give each task its depth plus one.
+    depth = _asap_vector(n, edges, np.ones(n), np.zeros(n))
     cushion = float(np.min(due)) * (1.0 - beta / gamma) / (2.0 * n)
-    x = np.concatenate([beta * d0, beta * t0 + cushion * (depth + 1.0)])
+    x = np.concatenate([beta * d0, beta * t0 + cushion * depth])
 
     lb = w / s_max if math.isfinite(s_max) else np.zeros(n)
     A, b, box = _constraints(n, edges, lb, release, due)
@@ -693,17 +694,6 @@ def _alap_vector(n, edges, durations, horizon):
         if succs[i]:
             t[i] = min(horizon, min(t[v] - durations[v] for v in succs[i]))
     return t
-
-
-def _depths(n, edges):
-    depth = np.zeros(n)
-    preds: dict[int, list[int]] = {i: [] for i in range(n)}
-    for u, v in edges:
-        preds[v].append(u)
-    for i in range(n):
-        if preds[i]:
-            depth[i] = max(depth[u] for u in preds[i]) + 1.0
-    return depth
 
 
 # ---------------------------------------------------------------------------

@@ -170,11 +170,8 @@ def solve_exact(
     limit = g.deadline * (1 + REL_TOL)
 
     # Root test: every task at the fastest mode.
-    completion = [0.0] * n
-    for i in range(n):
-        begin = max((completion[p] for p in preds[i]), default=0.0)
-        completion[i] = begin + cost[i] / fastest
-    if max(completion, default=0.0) > limit:
+    _, finish = asap_times(g, {tid: g.costs[tid] / fastest for tid in order})
+    if max(finish.values()) > limit:
         raise InfeasibleError(
             f"even the fastest mode {fastest:g} misses deadline {g.deadline:g}"
         )
@@ -198,6 +195,7 @@ def solve_exact(
     best_speeds: list[float] | None = None
     best_makespan = 0.0
     chosen = [0.0] * n
+    completion = [0.0] * n
     nodes = pruned_deadline = pruned_energy = 0
 
     def pack(proven_optimal: bool) -> ExactSolution | None:

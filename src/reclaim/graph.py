@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
@@ -228,22 +228,32 @@ def asap_times(
     return starts, completion
 
 
-def evaluate_schedule(g: ExecutionGraph, schedule: Schedule) -> SolveReport:
-    """Re-time the profiles ASAP and report energy, makespan, feasibility.
+def retime(
+    g: ExecutionGraph, profiles: dict[str, Profile]
+) -> tuple[dict[str, float], dict[str, float], SolveReport]:
+    """Time the profiles ASAP and price them: starts, completions, report.
 
-    Start times on the input are ignored: each task is placed at the
-    latest predecessor completion, which is the canonical feasibility
-    witness (any feasible timing admits this one).
+    Each task starts at the latest predecessor completion, the canonical
+    feasibility witness (any feasible timing admits this one). Energy is
+    summed in topological order. Constant profiles skip the generic
+    `profile_*` calls, which slow this loop on large graphs, and are
+    priced inline by the same expressions.
     """
     durations: dict[str, float] = {}
     speeds: dict[str, float] = {}
     energy = 0.0
     for tid in g.topo_order:
         try:
-            profile = schedule.profiles[tid]
+            profile = profiles[tid]
         except KeyError:
             raise ValueError(f"schedule has no profile for task {tid!r}") from None
         cost = g.costs[tid]
+        if type(profile) is ConstantSpeed:
+            s = profile.speed
+            durations[tid] = cost / s
+            speeds[tid] = s
+            energy += cost * s * s
+            continue
         done = profile_work(profile, cost)
         if done < cost * (1 - REL_TOL):
             raise WorkDeficitError(
@@ -251,11 +261,11 @@ def evaluate_schedule(g: ExecutionGraph, schedule: Schedule) -> SolveReport:
             )
         d = profile_duration(profile, cost)
         durations[tid] = d
-        speeds[tid] = profile.speed if isinstance(profile, ConstantSpeed) else cost / d
+        speeds[tid] = cost / d
         energy += profile_energy(profile, cost)
-    _, completion = asap_times(g, durations)
+    starts, completion = asap_times(g, durations)
     makespan = max(completion.values())
-    return SolveReport(
+    return starts, completion, SolveReport(
         energy=energy,
         makespan=makespan,
         feasible=makespan <= g.deadline * (1 + REL_TOL),
@@ -263,30 +273,18 @@ def evaluate_schedule(g: ExecutionGraph, schedule: Schedule) -> SolveReport:
     )
 
 
+def evaluate_schedule(g: ExecutionGraph, schedule: Schedule) -> SolveReport:
+    """`retime`'s report on the profiles; start times on the input are ignored."""
+    return retime(g, schedule.profiles)[2]
+
+
 def constant_schedule(
     g: ExecutionGraph, speeds: dict[str, float], diagnostics: dict
 ) -> tuple[Schedule, SolveReport]:
-    """Schedule and report for one constant speed per task, in one ASAP pass.
-
-    Energy is priced as `evaluate_schedule` prices a constant profile
-    (cost * s * s, summed in topological order), so energy, makespan and
-    speeds equal what `evaluate_schedule` reports for the same schedule.
-    """
+    """Schedule and report for one constant speed per task, from `retime`."""
     profiles = {tid: ConstantSpeed(float(speeds[tid])) for tid in g.topo_order}
-    durations = {tid: g.costs[tid] / p.speed for tid, p in profiles.items()}
-    starts, completion = asap_times(g, durations)
-    energy = 0.0
-    for tid, p in profiles.items():
-        energy += g.costs[tid] * p.speed * p.speed
-    makespan = max(completion.values())
-    report = SolveReport(
-        energy=energy,
-        makespan=makespan,
-        feasible=makespan <= g.deadline * (1 + REL_TOL),
-        speeds={tid: p.speed for tid, p in profiles.items()},
-        diagnostics=diagnostics,
-    )
-    return Schedule(profiles=profiles, starts=starts), report
+    starts, _, report = retime(g, profiles)
+    return Schedule(profiles=profiles, starts=starts), replace(report, diagnostics=diagnostics)
 
 
 def with_asap_starts(g: ExecutionGraph, schedule: Schedule) -> Schedule:
@@ -364,6 +362,8 @@ def schedule_from_obj(obj) -> Schedule:
         if not isinstance(entry, dict) or "id" not in entry or "profile" not in entry:
             raise ValueError(f"schedule[{i}] must be an object with 'id' and 'profile'")
         tid = str(entry["id"])
+        if tid in profiles:
+            raise ValueError(f"schedule[{i}]: task {tid!r} listed twice")
         prof = entry["profile"]
         if not isinstance(prof, dict):
             raise ValueError(f"schedule[{i}]: 'profile' must be an object")

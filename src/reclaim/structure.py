@@ -125,4 +125,4 @@ def as_spg(g: ExecutionGraph) -> Decomposition | None:
     sinks = sum(1 for s in g.successors.values() if not s)
     if len(g.tasks) < 2 or sources != 1 or sinks != 1:
         return None
-    return decompose_reduced(*reduce_dag(g, g.topo_order))
+    return decompose_reduced(*reduce_dag(g))

@@ -166,7 +166,7 @@ def solve_vdd(g: ExecutionGraph, model: VddModel) -> tuple[Schedule, SolveReport
     report the solved LP's objective and variable count and the
     residual's task count.
     """
-    groups, residual = reduce_dag(g, g.topo_order)
+    groups, residual = reduce_dag(g)
     heads = [group[0] for group in groups]
     work = {head: sum(g.costs[tid] for tid in group) for head, group in zip(heads, groups)}
     reduced = ExecutionGraph(

@@ -139,6 +139,45 @@ def test_validate_surfaces_work_deficit(capsys, example4_path, tmp_path):
     assert "work" in err.lower()
 
 
+# Speeds that meet example4's deadline, with the start times they get.
+EXAMPLE4_SCHEDULE = [
+    {"id": "T1", "profile": {"constant": 6.0}, "start": 0.0},
+    {"id": "T2", "profile": {"constant": 2.0}, "start": 0.5},
+    {"id": "T3", "profile": {"constant": 2.0}, "start": 0.5},
+    {"id": "T4", "profile": {"constant": 5.0}, "start": 1.0},
+]
+MALFORMED = {
+    "unknown": (EXAMPLE4_SCHEDULE + [{"id": "T9", "profile": {"constant": 1.0}}], "unknown ['T9']"),
+    "missing": (EXAMPLE4_SCHEDULE[:3], "missing ['T4']"),
+    "missing-no-starts": (
+        [{k: v for k, v in e.items() if k != "start"} for e in EXAMPLE4_SCHEDULE[:3]],
+        "missing ['T4']",
+    ),
+    # The first T1 misses the deadline; the second would meet it.
+    "twice": ([{"id": "T1", "profile": {"constant": 0.1}}] + EXAMPLE4_SCHEDULE, "'T1' listed twice"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "power-profile"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_replays_reject_a_schedule_of_other_tasks(capsys, example4_path, tmp_path, command, case):
+    sched, message = MALFORMED[case]
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps(sched))
+    code, out, err = run(capsys, command, example4_path, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_replays_accept_the_well_formed_schedule(capsys, example4_path, tmp_path):
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps(EXAMPLE4_SCHEDULE))
+    assert run_json(capsys, "validate", example4_path, str(path))["energy"] == 170.0
+    code, _, err = run(capsys, "power-profile", example4_path, str(path))
+    assert code == 0, err
+
+
 def test_compare_table(capsys, example4_path):
     payload = run_json(
         capsys,

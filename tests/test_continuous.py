@@ -449,7 +449,7 @@ def test_a_dropped_transitive_edge_lets_a_chain_contract(build):
     # a -> c is implied by a -> b -> c; without it a, b, c form one chain.
     g = build([("a", 1.0), ("b", 2.0), ("c", 3.0), ("x", 1.0)],
               [("a", "b"), ("b", "c"), ("a", "c")], [["a"], ["b"], ["c"], ["x"]], 2.0)
-    groups, edges = cont.reduce_dag(g, rc.topological_order(g))
+    groups, edges = cont.reduce_dag(g)
     assert groups == [["a", "b", "c"], ["x"]]
     assert edges == []
     _, report = rc.solve_dag(g)
@@ -459,7 +459,7 @@ def test_a_dropped_transitive_edge_lets_a_chain_contract(build):
     # Keeping a -> c out of reach of b leaves nothing to drop or contract.
     g = build([("a", 1.0), ("b", 2.0), ("c", 3.0)], [("a", "b"), ("a", "c")],
               [["a"], ["b"], ["c"]], 2.0)
-    groups, edges = cont.reduce_dag(g, rc.topological_order(g))
+    groups, edges = cont.reduce_dag(g)
     assert groups == [["a"], ["b"], ["c"]]
     assert edges == [(0, 1), (0, 2)]
 

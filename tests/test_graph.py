@@ -8,6 +8,7 @@ import pytest
 
 import reclaim as rc
 import support
+from reclaim.graph import constant_schedule, retime
 
 
 def test_task_rejects_bad_inputs():
@@ -131,6 +132,44 @@ def test_evaluate_schedule_energy_identity(build):
         )
 
 
+def test_constant_profiles_price_as_one_slice_segments(build):
+    # retime prices ConstantSpeed inline; a one-slice Segments of the same
+    # speed goes through profile_work, profile_duration and profile_energy.
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        tasks, prec, alloc = support.random_instance(rng, n)
+        g = build(tasks, prec, [q for _, q in alloc], 10.0)
+        speeds = {i: rng.uniform(0.5, 5.0) for i, _ in tasks}
+        constant = {i: rc.ConstantSpeed(s) for i, s in speeds.items()}
+        sliced = {i: rc.Segments(((s, g.costs[i] / s),)) for i, s in speeds.items()}
+        starts_c, done_c, report_c = retime(g, constant)
+        starts_s, done_s, report_s = retime(g, sliced)
+        assert report_c.energy == pytest.approx(report_s.energy, rel=1e-12)
+        assert report_c.makespan == pytest.approx(report_s.makespan, rel=1e-12)
+        assert report_c.feasible == report_s.feasible
+        for tid in g.costs:
+            assert report_c.speeds[tid] == pytest.approx(report_s.speeds[tid], rel=1e-12)
+            assert done_c[tid] == pytest.approx(done_s[tid], rel=1e-12)
+            assert starts_c[tid] == pytest.approx(starts_s[tid], rel=1e-12)
+
+
+def test_constant_schedule_reports_what_evaluate_schedule_does(build):
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        tasks, prec, alloc = support.random_instance(rng, n)
+        g = build(tasks, prec, [q for _, q in alloc], 10.0)
+        speeds = {i: rng.uniform(0.5, 5.0) for i, _ in tasks}
+        schedule, report = constant_schedule(g, speeds, {"tag": 1})
+        again = rc.evaluate_schedule(g, schedule)
+        assert report.diagnostics == {"tag": 1}
+        assert (report.energy, report.makespan, report.feasible, report.speeds) == (
+            again.energy, again.makespan, again.feasible, again.speeds
+        )
+        assert schedule.starts == retime(g, schedule.profiles)[0]
+
+
 def test_evaluate_schedule_feasibility_verdict(build):
     g = build([("A", 2.0), ("B", 2.0)], [("A", "B")], [["A", "B"]], 2.0)
     ok = rc.Schedule(profiles={"A": rc.ConstantSpeed(2.0), "B": rc.ConstantSpeed(2.0)})
@@ -201,6 +240,10 @@ def test_schedule_json_round_trip():
     # the wrapper form {"schedule": [...]} is accepted too
     wrapped = rc.schedule_from_obj({"schedule": rc.schedule_to_obj(sched)})
     assert wrapped.profiles == sched.profiles
+
+    # a task listed twice is an error, not a silent overwrite
+    with pytest.raises(ValueError, match="listed twice"):
+        rc.schedule_from_obj(rc.schedule_to_obj(sched) * 2)
 
 
 def test_schedule_to_obj_is_sorted_and_json_safe():

@@ -159,7 +159,7 @@ def test_reduced_lp_matches_the_whole_graph_lp(build):
         schedule, report = rc.solve_vdd(g, model)
         assert report.energy == pytest.approx(energy, rel=1e-9)
         assert report.feasible
-        groups, _ = cont.reduce_dag(g, g.topo_order)
+        groups, _ = cont.reduce_dag(g)
         assert report.diagnostics["reduced_tasks"] == len(groups)
         assert report.diagnostics["variables"] == len(groups) * (len(modes) + 1)
         for group in groups:
