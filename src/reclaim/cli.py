@@ -25,7 +25,6 @@ from .errors import (
     BudgetExceededError,
     CoverageError,
     CycleError,
-    DegenerateDurationError,
     InfeasibleError,
     LpInfeasibleError,
     LpNumericalError,
@@ -45,7 +44,6 @@ from .graph import (
     load_schedule,
     retime,
     schedule_to_obj,
-    with_asap_starts,
 )
 from .vdd import VddModel, build_lp, format_lp, solve_vdd
 
@@ -82,8 +80,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (OSError, ValueError, ReclaimError) as exc:
-        # CycleError, CoverageError, UnsupportedError, RangeError,
-        # DegenerateDurationError all land here: bad input, not bad luck.
+        # CycleError, CoverageError, UnsupportedError and RangeError all
+        # land here: bad input, not bad luck.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -432,8 +430,8 @@ def cmd_gen2p(args) -> int:
 
 def cmd_power_profile(args) -> int:
     g, schedule = _load_replay(args)
-    if schedule.starts is None or set(schedule.starts) != set(schedule.profiles):
-        schedule = with_asap_starts(g, schedule)
+    if schedule.starts is None or schedule.starts.keys() != schedule.profiles.keys():
+        schedule = Schedule(profiles=schedule.profiles, starts=retime(g, schedule.profiles)[0])
     profile = cont.power_profile(g, schedule, min_interval=args.min_interval)
     lines = ["t,power"]
     for t, level in zip(profile.times, profile.levels):

@@ -29,6 +29,7 @@ from .graph import (
     ExecutionGraph,
     Schedule,
     SolveReport,
+    check_work,
     constant_schedule,
     # Unused here; the benchmark's tracer and self-test look it up on this module.
     topological_order,
@@ -39,17 +40,6 @@ log = logging.getLogger("reclaim.continuous")
 
 def _cbrt(x: float) -> float:
     return x ** (1.0 / 3.0)
-
-
-@dataclass(frozen=True)
-class ContinuousModel:
-    """Speed cap; math.inf means uncapped."""
-
-    s_max: float = math.inf
-
-    def __post_init__(self):
-        if not self.s_max > 0:
-            raise ValueError(f"s_max must be positive, got {self.s_max}")
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +121,7 @@ def solve_sp(
     under a cap it is the paper's tree rule, exact when no series node
     has two composite members, which holds for every forest.
     """
-    _check_window(deadline)
+    _check_limits(deadline, s_max)
     eq = _node_costs(sp, costs)
     window = [0.0] * len(sp)
     # A member's rate is set when its parent knows it exactly; None means eq / window.
@@ -189,9 +179,12 @@ def _head(sp: Decomposition, i: int) -> str:
     return i
 
 
-def _check_window(deadline: float) -> None:
+def _check_limits(deadline: float, s_max: float) -> None:
     if not deadline > 0:
         raise InfeasibleError(f"deadline must be positive, got {deadline}")
+    # inf means uncapped; nan fails this test like a cap of zero or less.
+    if not s_max > 0:
+        raise ValueError(f"s_max must be positive, or inf for no cap, got {s_max}")
 
 
 def spg_cost(sp: Decomposition, costs: Mapping[str, float]) -> float:
@@ -209,7 +202,7 @@ def solve_spg(
             "series-parallel closed form requires an uncapped speed model; "
             "route the instance to the general DAG solver instead"
         )
-    return solve_sp(sp, costs, deadline)[0]
+    return solve_sp(sp, costs, deadline, s_max)[0]
 
 
 def _solve_listed(
@@ -318,6 +311,7 @@ def solve_dag(g: ExecutionGraph, s_max: float = math.inf) -> tuple[Schedule, Sol
     as the absolute ``duality_gap``), a scaled stationarity residual and
     the residual's task count.
     """
+    _check_limits(g.deadline, s_max)
     groups, edges = reduce_dag(g)
     n = len(groups)
     D = g.deadline
@@ -731,11 +725,13 @@ def power_profile(
     """Total dissipated power over time: the sum of s^3 across whatever
     runs at each instant.
 
-    Start times must be explicit. With ``min_interval`` > 0, consecutive
-    intervals are coalesced (duration-weighted, integral preserved) until
-    each merged piece spans at least that long; numeric schedules produce
-    sliver intervals where nearly simultaneous events disagree in the
-    last few ulps, and those slivers carry meaningless levels.
+    Start times must be explicit, and a segmented profile must complete
+    its task's work (WorkDeficitError otherwise). With ``min_interval``
+    > 0, consecutive intervals are coalesced (duration-weighted, integral
+    preserved) until each merged piece spans at least that long; numeric
+    schedules produce sliver intervals where nearly simultaneous events
+    disagree in the last few ulps, and those slivers carry meaningless
+    levels.
     """
     if schedule.starts is None:
         raise ValueError("power profile needs explicit start times")
@@ -748,6 +744,7 @@ def power_profile(
         if isinstance(profile, ConstantSpeed):
             parts = ((profile.speed, g.costs[tid] / profile.speed),)
         else:
+            check_work(tid, profile, g.costs[tid])
             parts = profile.parts
         for speed, duration in parts:
             if duration <= 0:

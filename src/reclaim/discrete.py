@@ -28,7 +28,7 @@ from .graph import (
     constant_schedule,
     topological_order,
 )
-from .vdd import VddModel, average_speeds, solve_vdd
+from .vdd import VddModel, check_modes, solve_vdd
 
 log = logging.getLogger("reclaim.discrete")
 
@@ -42,12 +42,7 @@ class DiscreteModel:
     modes: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.modes:
-            raise ValueError("at least one mode is required")
-        if any(not s > 0 for s in self.modes):
-            raise ValueError(f"modes must be positive: {self.modes}")
-        if any(a >= b for a, b in zip(self.modes, self.modes[1:])):
-            raise ValueError(f"modes must be strictly ascending: {self.modes}")
+        check_modes(self.modes)
 
     @cached_property
     def alpha(self) -> float:
@@ -69,12 +64,12 @@ class IncrementalModel:
     delta: float
 
     def __post_init__(self):
-        if not self.s_min > 0:
-            raise ValueError(f"s_min must be positive, got {self.s_min}")
+        for name in ("s_min", "s_max", "delta"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.s_max < self.s_min:
             raise ValueError(f"s_max {self.s_max} below s_min {self.s_min}")
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
 
 
 SpeedModel = Union[DiscreteModel, IncrementalModel]
@@ -294,10 +289,9 @@ def _approx(g: ExecutionGraph, grid: list[float], K: int, bound_factor: float, l
     _, completion = asap_times(g, {tid: g.costs[tid] / geo[-1] for tid in g.topo_order})
     if max(completion.values()) > g.deadline and grid[-1] > geo[-1]:
         geo.append(grid[-1])
-    vdd_schedule, vdd_report = solve_vdd(g, VddModel(tuple(geo)))
-    averages = average_speeds(vdd_schedule, g)
+    _, vdd_report = solve_vdd(g, VddModel(tuple(geo)))
     speeds: dict[str, float] = {}
-    for tid, avg in averages.items():
+    for tid, avg in vdd_report.speeds.items():
         snapped = _round_up(avg, grid)
         if snapped is None:
             raise InfeasibleError(

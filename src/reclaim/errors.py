@@ -42,10 +42,6 @@ class LpNumericalError(ReclaimError):
     """The simplex guard tripped (cycling suspected or unbounded tableau)."""
 
 
-class DegenerateDurationError(ReclaimError):
-    """A task's schedule carries zero total duration."""
-
-
 class BudgetExceededError(ReclaimError):
     """Branch-and-bound ran out of nodes; the best incumbent is attached."""
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Sequence, Union
@@ -212,6 +213,13 @@ def profile_energy(profile: Profile, cost: float) -> float:
     return sum(s * s * s * d for s, d in profile.parts)
 
 
+def check_work(tid: str, profile: Profile, cost: float) -> None:
+    """Raise WorkDeficitError unless the profile completes the task's work."""
+    done = profile_work(profile, cost)
+    if done < cost * (1 - REL_TOL):
+        raise WorkDeficitError(f"task {tid!r}: profile completes {done:g} of {cost:g} work units")
+
+
 def asap_times(
     g: ExecutionGraph, durations: dict[str, float]
 ) -> tuple[dict[str, float], dict[str, float]]:
@@ -254,11 +262,7 @@ def retime(
             speeds[tid] = s
             energy += cost * s * s
             continue
-        done = profile_work(profile, cost)
-        if done < cost * (1 - REL_TOL):
-            raise WorkDeficitError(
-                f"task {tid!r}: profile completes {done:g} of {cost:g} work units"
-            )
+        check_work(tid, profile, cost)
         d = profile_duration(profile, cost)
         durations[tid] = d
         speeds[tid] = cost / d
@@ -287,13 +291,6 @@ def constant_schedule(
     return Schedule(profiles=profiles, starts=starts), replace(report, diagnostics=diagnostics)
 
 
-def with_asap_starts(g: ExecutionGraph, schedule: Schedule) -> Schedule:
-    """Return the same profiles with ASAP start times filled in."""
-    durations = {tid: profile_duration(p, g.costs[tid]) for tid, p in schedule.profiles.items()}
-    starts, _ = asap_times(g, durations)
-    return Schedule(profiles=dict(schedule.profiles), starts=starts)
-
-
 # ---------------------------------------------------------------------------
 # JSON instance and schedule formats
 #
@@ -309,7 +306,27 @@ def with_asap_starts(g: ExecutionGraph, schedule: Schedule) -> Schedule:
 # (also accepted wrapped as {"schedule": [...]}, which is what reports emit).
 
 
+# What each scalar or list field must hold, for the readers' messages.
+_FIELD_KINDS = {
+    "cost": "a number",
+    "precedence": "a list of task-id pairs",
+    "processor": "an integer",
+    "order": "a list of task ids",
+    "deadline": "a number",
+    "constant": "a number",
+    "segments": "a list of [speed, duration] pairs",
+    "start": "a number",
+}
+
+
+def _field_error(where: str, key: str, value) -> ValueError:
+    return ValueError(f"{where}: {key!r} must be {_FIELD_KINDS[key]}, got {reprlib.repr(value)}")
+
+
 def instance_from_dict(obj: dict) -> ExecutionGraph:
+    # The loops over tasks and processors run once per task on large
+    # instances, so a wrongly typed field is found by the TypeError it
+    # raises, not by a check on every entry.
     if not isinstance(obj, dict):
         raise ValueError("instance must be a JSON object")
     for key in ("tasks", "precedence", "allocation", "deadline"):
@@ -319,13 +336,19 @@ def instance_from_dict(obj: dict) -> ExecutionGraph:
     if not isinstance(raw_tasks, list) or not raw_tasks:
         raise ValueError("'tasks' must be a non-empty list")
     tasks = []
-    for i, entry in enumerate(raw_tasks):
-        if not isinstance(entry, dict) or "id" not in entry or "cost" not in entry:
-            raise ValueError(f"tasks[{i}] must be an object with 'id' and 'cost'")
-        tasks.append(Task(id=str(entry["id"]), cost=float(entry["cost"])))
+    try:
+        for i, entry in enumerate(raw_tasks):
+            if not isinstance(entry, dict) or "id" not in entry or "cost" not in entry:
+                raise ValueError(f"tasks[{i}] must be an object with 'id' and 'cost'")
+            tasks.append(Task(id=str(entry["id"]), cost=float(entry["cost"])))
+    except TypeError:
+        raise _field_error(f"tasks[{i}]", "cost", entry["cost"]) from None
 
+    raw_precedence = obj["precedence"]
+    if not isinstance(raw_precedence, list):
+        raise _field_error("instance", "precedence", raw_precedence)
     precedence = []
-    for i, pair in enumerate(obj["precedence"]):
+    for i, pair in enumerate(raw_precedence):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"precedence[{i}] must be a pair of task ids")
         precedence.append((str(pair[0]), str(pair[1])))
@@ -334,16 +357,24 @@ def instance_from_dict(obj: dict) -> ExecutionGraph:
     if not isinstance(raw_alloc, list) or not raw_alloc:
         raise ValueError("'allocation' must be a non-empty list")
     rows = []
-    for i, entry in enumerate(raw_alloc):
-        if not isinstance(entry, dict) or "processor" not in entry or "order" not in entry:
-            raise ValueError(f"allocation[{i}] must be an object with 'processor' and 'order'")
-        rows.append((int(entry["processor"]), [str(t) for t in entry["order"]]))
+    try:
+        for i, entry in enumerate(raw_alloc):
+            if not isinstance(entry, dict) or "processor" not in entry or "order" not in entry:
+                raise ValueError(f"allocation[{i}] must be an object with 'processor' and 'order'")
+            rows.append((int(entry["processor"]), [str(t) for t in entry["order"]]))
+    except (TypeError, OverflowError):
+        key = "processor" if isinstance(entry["order"], list) else "order"
+        raise _field_error(f"allocation[{i}]", key, entry[key]) from None
     procs = [p for p, _ in rows]
     if len(set(procs)) != len(procs):
         raise ValueError("duplicate processor index in allocation")
     allocation = [order for _, order in sorted(rows)]
 
-    return build_execution_graph(tasks, precedence, allocation, float(obj["deadline"]))
+    try:
+        deadline = float(obj["deadline"])
+    except (TypeError, ValueError):
+        raise _field_error("instance", "deadline", obj["deadline"]) from None
+    return build_execution_graph(tasks, precedence, allocation, deadline)
 
 
 def load_instance(path: str) -> ExecutionGraph:
@@ -358,24 +389,31 @@ def schedule_from_obj(obj) -> Schedule:
         raise ValueError("schedule must be a non-empty list of per-task entries")
     profiles: dict[str, Profile] = {}
     starts: dict[str, float] = {}
-    for i, entry in enumerate(obj):
-        if not isinstance(entry, dict) or "id" not in entry or "profile" not in entry:
-            raise ValueError(f"schedule[{i}] must be an object with 'id' and 'profile'")
-        tid = str(entry["id"])
+    try:
+        for i, entry in enumerate(obj):
+            if not isinstance(entry, dict) or "id" not in entry or "profile" not in entry:
+                raise ValueError(f"schedule[{i}] must be an object with 'id' and 'profile'")
+            tid = str(entry["id"])
+            if tid in profiles:
+                raise ValueError(f"schedule[{i}]: task {tid!r} listed twice")
+            prof = entry["profile"]
+            if not isinstance(prof, dict):
+                raise ValueError(f"schedule[{i}]: 'profile' must be an object")
+            if "constant" in prof:
+                profiles[tid] = ConstantSpeed(float(prof["constant"]))
+            elif "segments" in prof:
+                parts = tuple((float(s), float(d)) for s, d in prof["segments"])
+                profiles[tid] = Segments(parts)
+            else:
+                raise ValueError(f"schedule[{i}]: profile needs 'constant' or 'segments'")
+            if "start" in entry:
+                starts[tid] = float(entry["start"])
+    except TypeError:
+        # The profile is stored before the start time is read.
         if tid in profiles:
-            raise ValueError(f"schedule[{i}]: task {tid!r} listed twice")
-        prof = entry["profile"]
-        if not isinstance(prof, dict):
-            raise ValueError(f"schedule[{i}]: 'profile' must be an object")
-        if "constant" in prof:
-            profiles[tid] = ConstantSpeed(float(prof["constant"]))
-        elif "segments" in prof:
-            parts = tuple((float(s), float(d)) for s, d in prof["segments"])
-            profiles[tid] = Segments(parts)
-        else:
-            raise ValueError(f"schedule[{i}]: profile needs 'constant' or 'segments'")
-        if "start" in entry:
-            starts[tid] = float(entry["start"])
+            raise _field_error(f"schedule[{i}]", "start", entry["start"]) from None
+        key = "constant" if "constant" in prof else "segments"
+        raise _field_error(f"schedule[{i}]", key, prof[key]) from None
     return Schedule(profiles=profiles, starts=starts if starts else None)
 
 

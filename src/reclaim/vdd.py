@@ -11,22 +11,21 @@ takes any graph, and `--dump-lp` lists the whole execution graph's.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import simplex
 from .continuous import reduce_dag
-from .errors import DegenerateDurationError, InfeasibleError, LpInfeasibleError
+from .errors import InfeasibleError, LpInfeasibleError
 from .graph import (
-    ConstantSpeed,
     ExecutionGraph,
     Schedule,
     Segments,
     SolveReport,
     Task,
     evaluate_schedule,
-    profile_duration,
     topological_order,
 )
 
@@ -36,6 +35,16 @@ log = logging.getLogger("reclaim.vdd")
 SEGMENT_DROP = 1e-12
 
 
+def check_modes(modes: tuple[float, ...]) -> None:
+    """A mode list must be non-empty, positive, finite and strictly ascending."""
+    if not modes:
+        raise ValueError("at least one mode is required")
+    if any(not 0 < s < math.inf for s in modes):
+        raise ValueError(f"modes must be positive and finite: {modes}")
+    if any(a >= b for a, b in zip(modes, modes[1:])):
+        raise ValueError(f"modes must be strictly ascending: {modes}")
+
+
 @dataclass(frozen=True)
 class VddModel:
     """Available speeds, strictly ascending."""
@@ -43,12 +52,7 @@ class VddModel:
     modes: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.modes:
-            raise ValueError("at least one mode is required")
-        if any(not s > 0 for s in self.modes):
-            raise ValueError(f"modes must be positive: {self.modes}")
-        if any(a >= b for a, b in zip(self.modes, self.modes[1:])):
-            raise ValueError(f"modes must be strictly ascending: {self.modes}")
+        check_modes(self.modes)
 
 
 @dataclass(frozen=True)
@@ -201,18 +205,3 @@ def solve_vdd(g: ExecutionGraph, model: VddModel) -> tuple[Schedule, SolveReport
     log.info("vdd: objective %.12g over %d variables", objective, len(problem.var_names))
     diagnostics = {"objective": objective, "variables": len(problem.var_names), "reduced_tasks": n}
     return schedule, replace(evaluate_schedule(g, schedule), diagnostics=diagnostics)
-
-
-def average_speeds(schedule: Schedule, g: ExecutionGraph) -> dict[str, float]:
-    """Work over total duration, task by task."""
-    out: dict[str, float] = {}
-    for tid in topological_order(g):
-        profile = schedule.profiles[tid]
-        if isinstance(profile, ConstantSpeed):
-            out[tid] = profile.speed
-            continue
-        total = profile_duration(profile, g.costs[tid])
-        if total <= 0.0:
-            raise DegenerateDurationError(f"task {tid!r} has zero total duration")
-        out[tid] = g.costs[tid] / total
-    return out

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import pathlib
 import random
 import sys
 
@@ -116,7 +117,7 @@ def test_validate_flags_deadline_misses(capsys, example4_path, tmp_path):
     assert payload["energy"] == 170.0
 
     # the same speeds cannot meet a 1.0 deadline; T4 is the violator
-    tight = dict(json.loads(open(example4_path).read()), deadline=1.0)
+    tight = dict(json.loads(pathlib.Path(example4_path).read_text()), deadline=1.0)
     tight_path = write_instance(tmp_path, tight, "tight.json")
     code, out, _ = run(capsys, "validate", tight_path, str(path))
     assert code == 2
@@ -176,6 +177,35 @@ def test_replays_accept_the_well_formed_schedule(capsys, example4_path, tmp_path
     assert run_json(capsys, "validate", example4_path, str(path))["energy"] == 170.0
     code, _, err = run(capsys, "power-profile", example4_path, str(path))
     assert code == 0, err
+
+
+def _without_starts(sched):
+    return [{k: v for k, v in entry.items() if k != "start"} for entry in sched]
+
+
+# T1 runs 0.06 of its 3 work units, or none at all.
+DEFICIT = [{"id": "T1", "profile": {"segments": [[6.0, 0.01]]}, "start": 0.0}] + EXAMPLE4_SCHEDULE[1:]
+ZERO_DURATION = [{"id": "T1", "profile": {"segments": [[6.0, 0.0]]}, "start": 0.0}] + EXAMPLE4_SCHEDULE[1:]
+PARITY = {
+    **{case: sched for case, (sched, _) in MALFORMED.items()},
+    "deficit": DEFICIT,
+    "deficit-no-starts": _without_starts(DEFICIT),
+    "zero-duration": ZERO_DURATION,
+    "zero-duration-no-starts": _without_starts(ZERO_DURATION),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY))
+def test_replays_reject_alike(capsys, example4_path, tmp_path, case):
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps(PARITY[case]))
+    results = [run(capsys, command, example4_path, str(path))
+               for command in ("validate", "power-profile")]
+    (code, out, err), (profile_code, profile_out, profile_err) = results
+    assert code in (1, 2)
+    assert out == profile_out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (profile_code, profile_err) == (code, err)
 
 
 def test_compare_table(capsys, example4_path):
@@ -558,7 +588,7 @@ def test_input_error_exits(capsys, tmp_path, example4_path):
 
 
 def test_infeasible_and_budget_exits(capsys, tmp_path, example4_path):
-    tight = dict(json.loads(open(example4_path).read()), deadline=0.5)
+    tight = dict(json.loads(pathlib.Path(example4_path).read_text()), deadline=0.5)
     path = write_instance(tmp_path, tight, "tight.json")
     code, _, err = run(capsys, "solve", path, "--model", "discrete",
                        "--modes", "2,5,6")

@@ -15,6 +15,7 @@ import reclaim as rc
 import support
 from reclaim import continuous as cont
 from reclaim.cli import main
+from reclaim.graph import retime
 
 S1 = (2.0 / 3.0) * (3.0 + 35.0 ** (1.0 / 3.0))
 
@@ -721,10 +722,8 @@ def test_constant_power_at_the_continuous_optimum(build):
 
 def test_constant_power_rejects_a_discrete_schedule(example4):
     sol = rc.solve_exact(example4, rc.DiscreteModel((2.0, 5.0, 6.0)))
-    sched = rc.with_asap_starts(
-        example4,
-        rc.Schedule(profiles={t: rc.ConstantSpeed(s) for t, s in sol.speeds.items()}),
-    )
+    profiles = {t: rc.ConstantSpeed(s) for t, s in sol.speeds.items()}
+    sched = rc.Schedule(profiles=profiles, starts=retime(example4, profiles)[0])
     profile = rc.power_profile(example4, sched)
     assert not rc.check_constant_power(profile, rel_tol=1e-4)
 

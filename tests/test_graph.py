@@ -254,14 +254,12 @@ def test_schedule_to_obj_is_sorted_and_json_safe():
 
 
 def test_with_asap_starts(example4):
-    sched = rc.Schedule(
-        profiles={tid: rc.ConstantSpeed(4.0) for tid in example4.costs}
-    )
-    timed = rc.with_asap_starts(example4, sched)
-    assert timed.starts["T1"] == 0.0
-    assert timed.starts["T2"] == pytest.approx(0.75)  # after T1 on P1
-    assert timed.starts["T3"] == pytest.approx(0.75)
-    assert timed.starts["T4"] == pytest.approx(1.0)
+    profiles = {tid: rc.ConstantSpeed(4.0) for tid in example4.costs}
+    starts, _, _ = retime(example4, profiles)
+    assert starts["T1"] == 0.0
+    assert starts["T2"] == pytest.approx(0.75)  # after T1 on P1
+    assert starts["T3"] == pytest.approx(0.75)
+    assert starts["T4"] == pytest.approx(1.0)
 
 
 def test_infinity_is_rejected_in_instances():
