@@ -40,6 +40,7 @@ from .graph import (
     Schedule,
     SolveReport,
     constant_schedule,
+    id_sorted,
     load_instance,
     load_schedule,
     retime,
@@ -62,6 +63,21 @@ class _StderrHandler(logging.StreamHandler):
 
 
 def main(argv=None) -> int:
+    import gc
+
+    # The graph and report are large and acyclic: the cyclic collector
+    # would only traverse them. Its previous state comes back on return,
+    # for a host process that embeds main().
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv) -> int:
     _configure_logging()
     parser = _build_parser()
     try:
@@ -218,7 +234,7 @@ def _payload(g: ExecutionGraph, schedule: Schedule, report: SolveReport, **head)
         "makespan": report.makespan,
         "feasible": report.feasible,
         "deadline": g.deadline,
-        "speeds": dict(sorted(report.speeds.items())),
+        "speeds": dict(id_sorted(report.speeds)),
         "schedule": schedule_to_obj(schedule),
         "diagnostics": report.diagnostics,
     }
@@ -271,12 +287,12 @@ def _solve_continuous(g: ExecutionGraph, args) -> tuple[str, Schedule, SolveRepo
             "the series-parallel closed form needs an uncapped model; "
             "pass --fallback dag (or --structure dag) for a capped solve"
         )
-    shape, form = struct.recognise(g, args.structure)
+    shape, form = struct._recognise(g, args.structure)
     if shape == "dag" or (shape == "spg" and capped):
         # The detected shape stays in the report.
         return shape, *cont.solve_dag(g, s_max)
 
-    energy, per_task = cont.solve_sp(form, g.costs, g.deadline, s_max)
+    energy, per_task = cont._solve_sp(form, g.cost, g.ids, g.deadline, s_max)
     return shape, *constant_schedule(g, per_task, {"closed_form_energy": energy})
 
 
@@ -284,9 +300,10 @@ def _load_replay(args) -> tuple[ExecutionGraph, Schedule]:
     """The instance and a schedule that lists exactly its tasks."""
     g = load_instance(args.instance)
     schedule = load_schedule(args.schedule)
-    if schedule.profiles.keys() != g.costs.keys():
-        unknown = sorted(schedule.profiles.keys() - g.costs.keys())
-        missing = sorted(g.costs.keys() - schedule.profiles.keys())
+    profiles = schedule.profiles
+    if len(profiles) != len(g.ids) or not all(tid in profiles for tid in g.ids):
+        unknown = sorted(profiles.keys() - set(g.ids))
+        missing = sorted(set(g.ids) - profiles.keys())
         raise ValueError(f"schedule tasks differ from the instance's: {len(unknown)} unknown "
                          f"{unknown[:3]}, {len(missing)} missing {missing[:3]}")
     return g, schedule
@@ -296,15 +313,15 @@ def cmd_validate(args) -> int:
     g, schedule = _load_replay(args)
     _, completion, report = retime(g, schedule.profiles)
     limit = g.deadline * (1 + REL_TOL)
-    violations = sorted(tid for tid, done in completion.items() if done > limit)
+    done = id_sorted(completion)
     payload = {
         "command": "validate",
         "feasible": report.feasible,
         "energy": report.energy,
         "makespan": report.makespan,
         "deadline": g.deadline,
-        "deadline_slack": {tid: g.deadline - completion[tid] for tid in sorted(completion)},
-        "violations": violations,
+        "deadline_slack": {tid: g.deadline - t for tid, t in done},
+        "violations": [tid for tid, t in done if t > limit],
     }
     _emit_json(payload, args)
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE

@@ -29,6 +29,7 @@ from .graph import (
     ExecutionGraph,
     Schedule,
     SolveReport,
+    by_index,
     check_work,
     constant_schedule,
     # Unused here; the benchmark's tracer and self-test look it up on this module.
@@ -45,11 +46,17 @@ def _cbrt(x: float) -> float:
 # ---------------------------------------------------------------------------
 # Closed forms: one series-parallel decomposition, one solver
 #
-# A decomposition lists its nodes children first, each as (kind, members);
-# a member is a task id (a leaf) or the index of an earlier node, and the
-# last node is the root. A series node's members share one speed and a
-# parallel node's members share one window. Series members need no order,
-# since a schedule times the speeds ASAP, and only series nodes hold leaves.
+# A decomposition lists its nodes children first, each as (kind, members),
+# and the last node is the root. On a graph of n tasks a member m < n is
+# task m (a leaf) and a member m >= n is node m - n, so one array indexed
+# by member holds a value for every task and then every node. A series
+# node's members share one speed and a parallel node's members share one
+# window. Series members need no order, since a schedule times the
+# speeds ASAP, and only series nodes hold leaves.
+#
+# Library callers read and write the named form, with task ids for leaves
+# and node positions for composite members: `decompose_forest`,
+# `solve_sp`, `spg_cost` and `structure.recognise` take or return it.
 
 SERIES = "series"
 PARALLEL = "parallel"
@@ -57,57 +64,57 @@ PARALLEL = "parallel"
 Decomposition = list[tuple[str, tuple]]
 
 
-def decompose_forest(
-    roots: Sequence[str], children: Mapping[str, Sequence[str]], order: Sequence[str]
+def _decompose_forest(
+    roots: Sequence[int], children: Sequence[Sequence[int]], order: Sequence[int]
 ) -> Decomposition:
-    """The decomposition of a forest.
-
-    ``children`` maps every task to its children and ``order`` lists
-    every task, each parent before its children. A task becomes
-    series(task) without children, series(task, child) with one and
-    series(task, parallel(children)) with several; several roots go
-    under one parallel node. Each task's node comes right after those of
-    the tasks that follow it in ``order``, so `solve_sp` visits the tasks
-    in ``order``.
-    """
+    # ``children`` lists every task's children and ``order`` every task,
+    # each parent before its children. A task becomes series(task) without
+    # children, series(task, child) with one and series(task,
+    # parallel(children)) with several; several roots go under one
+    # parallel node. Each task's node comes right after those of the
+    # tasks that follow it in ``order``, so `_solve_sp` visits the tasks
+    # in ``order``.
+    n = len(children)
     sp: Decomposition = []
-    node: dict[str, int] = {}
-    for tid in reversed(order):
-        kids = children[tid]
+    node = [0] * n
+    for t in reversed(order):
+        kids = children[t]
         if len(kids) > 1:
             sp.append((PARALLEL, tuple(node[c] for c in kids)))
-            sp.append((SERIES, (tid, len(sp) - 1)))
+            sp.append((SERIES, (t, n + len(sp) - 1)))
         elif kids:
-            sp.append((SERIES, (tid, node[kids[0]])))
+            sp.append((SERIES, (t, node[kids[0]])))
         else:
-            sp.append((SERIES, (tid,)))
-        node[tid] = len(sp) - 1
+            sp.append((SERIES, (t,)))
+        node[t] = n + len(sp) - 1
     if len(roots) > 1:
         sp.append((PARALLEL, tuple(node[r] for r in roots)))
     return sp
 
 
-def _node_costs(sp: Decomposition, costs: Mapping[str, float]) -> list[float]:
-    # Bottom-up equivalent costs: a series node's is the sum of its
-    # members', a parallel node's the cube root of their summed cubes.
-    eq: list[float] = []
+def _node_costs(sp: Decomposition, cost: Sequence[float]) -> list[float]:
+    # Every member's equivalent cost: the tasks' own, then bottom-up a
+    # series node's the sum of its members', a parallel node's the cube
+    # root of their summed cubes.
+    eq = list(cost)
     for kind, members in sp:
         if kind == SERIES:
             total = 0.0
             for m in members:
-                total += eq[m] if type(m) is int else costs[m]
+                total += eq[m]
             eq.append(total)
         else:
             eq.append(_cbrt(sum(eq[m] ** 3 for m in members)))
     return eq
 
 
-def solve_sp(
+def _solve_sp(
     sp: Decomposition,
-    costs: Mapping[str, float],
+    cost: Sequence[float],
+    ids: Sequence[str],
     deadline: float,
     s_max: float = math.inf,
-) -> tuple[float, dict[str, float]]:
+) -> tuple[float, list[float | None]]:
     """Energy (the sum of cost * s^2) and per-task speeds of a decomposition.
 
     Top-down, the root's window is the deadline. A series node with
@@ -119,18 +126,21 @@ def solve_sp(
     their equivalent costs. A parallel node gives each member its whole
     window. Uncapped this is optimal on every series-parallel graph;
     under a cap it is the paper's tree rule, exact when no series node
-    has two composite members, which holds for every forest.
+    has two composite members, which holds for every forest. Speeds come
+    by task index, None for a task the decomposition leaves out; ``ids``
+    name tasks in messages.
     """
     _check_limits(deadline, s_max)
-    eq = _node_costs(sp, costs)
-    window = [0.0] * len(sp)
+    n = len(cost)
+    eq = _node_costs(sp, cost)
+    window = [0.0] * len(eq)
     # A member's rate is set when its parent knows it exactly; None means eq / window.
-    rate: list[float | None] = [None] * len(sp)
+    rate: list[float | None] = [None] * len(eq)
     window[-1] = deadline
-    speeds: dict[str, float] = {}
+    speeds: list[float | None] = [None] * n
     energy = 0.0
-    for i in range(len(sp) - 1, -1, -1):
-        kind, members = sp[i]
+    for i in range(len(eq) - 1, n - 1, -1):
+        kind, members = sp[i - n]
         w, r = window[i], rate[i]
         if kind == PARALLEL:
             for m in members:
@@ -143,40 +153,70 @@ def solve_sp(
         if r <= s_max * (1 + REL_TOL):
             s = min(r, s_max)
             for m in members:
-                if type(m) is int:
+                if m >= n:
                     window[m] = eq[m] / r
                     rate[m] = r
                 else:
                     speeds[m] = s
-                    energy += costs[m] * s * s
+                    energy += cost[m] * s * s
             continue
         rest = w
         parts = []
         for m in members:
-            if type(m) is int:
+            if m >= n:
                 parts.append(m)
                 continue
-            need = costs[m] / s_max
+            need = cost[m] / s_max
             if need > rest * (1 + REL_TOL):
                 raise InfeasibleError(
-                    f"task {m!r}: work {costs[m]} at cap {s_max:g} misses its window {rest:g}"
+                    f"task {ids[m]!r}: work {cost[m]} at cap {s_max:g} misses its window {rest:g}"
                 )
             rest -= need
             speeds[m] = s_max
-            energy += costs[m] * s_max * s_max
+            energy += cost[m] * s_max * s_max
         if parts and rest <= 0:
-            raise InfeasibleError(f"no execution window left at task {_head(sp, parts[0])!r}")
+            head = parts[0]
+            while head >= n:  # the node's first task, to name in the message
+                head = sp[head - n][1][0]
+            raise InfeasibleError(f"no execution window left at task {ids[head]!r}")
         total = sum(eq[m] for m in parts)
         for m in parts:
             window[m] = rest * (eq[m] / total)
     return energy, speeds
 
 
-def _head(sp: Decomposition, i: int) -> str:
-    # The first task of node i, to name in a message.
-    while type(i) is int:
-        i = sp[i][1][0]
-    return i
+def _named(sp: Decomposition, ids: Sequence[str]) -> Decomposition:
+    n = len(ids)
+    return [(kind, tuple(ids[m] if m < n else m - n for m in members)) for kind, members in sp]
+
+
+def _indexed(sp: Decomposition, ids: Sequence[str]) -> Decomposition:
+    at = {tid: i for i, tid in enumerate(ids)}
+    n = len(ids)
+    return [(kind, tuple(m + n if type(m) is int else at[m] for m in members))
+            for kind, members in sp]
+
+
+def decompose_forest(
+    roots: Sequence[str], children: Mapping[str, Sequence[str]], order: Sequence[str]
+) -> Decomposition:
+    """`_decompose_forest` on task ids: ``children`` maps each to its own."""
+    at = {tid: i for i, tid in enumerate(order)}
+    sp = _decompose_forest([at[r] for r in roots], [[at[c] for c in children[t]] for t in order],
+                           range(len(order)))
+    return _named(sp, list(order))
+
+
+def solve_sp(
+    sp: Decomposition,
+    costs: Mapping[str, float],
+    deadline: float,
+    s_max: float = math.inf,
+) -> tuple[float, dict[str, float]]:
+    """`_solve_sp` on a named decomposition: energy and speeds by task id."""
+    ids = list(costs)
+    energy, speeds = _solve_sp(_indexed(sp, ids), list(costs.values()), ids, deadline, s_max)
+    return energy, {tid: s for tid, s in zip(ids, speeds) if s is not None}
 
 
 def _check_limits(deadline: float, s_max: float) -> None:
@@ -188,9 +228,10 @@ def _check_limits(deadline: float, s_max: float) -> None:
 
 
 def spg_cost(sp: Decomposition, costs: Mapping[str, float]) -> float:
-    """Equivalent cost of a decomposition: sums in series, cube roots of
-    summed cubes in parallel."""
-    return _node_costs(sp, costs)[-1]
+    """Equivalent cost of a named decomposition: sums in series, cube roots
+    of summed cubes in parallel."""
+    ids = list(costs)
+    return _node_costs(_indexed(sp, ids), list(costs.values()))[-1]
 
 
 def solve_spg(
@@ -214,11 +255,10 @@ def _solve_listed(
 ) -> tuple[list[float], float]:
     # A forest of tasks named after their list positions, each parent
     # listed before its children; speeds come back in list order.
-    ids = [str(k) for k in range(len(costs))]
-    kids = {tid: [ids[c] for c in children.get(k, ())] for k, tid in enumerate(ids)}
-    sp = decompose_forest([ids[r] for r in roots], kids, ids)
-    energy, speeds = solve_sp(sp, dict(zip(ids, costs)), deadline, s_max)
-    return [speeds[tid] for tid in ids], energy
+    n = len(costs)
+    sp = _decompose_forest(roots, [children.get(k, ()) for k in range(n)], range(n))
+    energy, speeds = _solve_sp(sp, list(costs), [str(k) for k in range(n)], deadline, s_max)
+    return speeds, energy
 
 
 def solve_independent(
@@ -312,10 +352,10 @@ def solve_dag(g: ExecutionGraph, s_max: float = math.inf) -> tuple[Schedule, Sol
     the residual's task count.
     """
     _check_limits(g.deadline, s_max)
-    groups, edges = reduce_dag(g)
+    groups, edges = _reduce_dag(g)
     n = len(groups)
     D = g.deadline
-    w = np.array([sum(g.costs[tid] for tid in group) for group in groups])
+    w = np.array([sum(g.cost[k] for k in group) for group in groups])
     release = np.zeros(n)
 
     cp = 0.0
@@ -331,25 +371,32 @@ def solve_dag(g: ExecutionGraph, s_max: float = math.inf) -> tuple[Schedule, Sol
     else:
         speeds, diagnostics = _interior_point(w, edges, release, np.full(n, D), s_max)
     diagnostics["reduced_tasks"] = n
-    per_task = {tid: s for group, s in zip(groups, speeds) for tid in group}
+    per_task = [0.0] * len(g.ids)
+    for group, s in zip(groups, speeds):
+        for k in group:
+            per_task[k] = s
     return constant_schedule(g, per_task, diagnostics)
 
 
 def reduce_dag(g: ExecutionGraph) -> tuple[list[list[str]], list[tuple[int, int]]]:
+    """`_reduce_dag` with every group as a list of task ids."""
+    groups, edges = _reduce_dag(g)
+    return [[g.ids[k] for k in group] for group in groups], edges
+
+
+def _reduce_dag(g: ExecutionGraph) -> tuple[list[list[int]], list[tuple[int, int]]]:
     """Series reduction of the execution graph, exact for `solve_dag`.
 
     Drops every transitive edge u->v (durations are positive, so the other
     u->v path implies it), then contracts every edge u->v where v is u's
     only successor and u is v's only predecessor: at the optimum such a
     pair shares one speed, and that speed meets a cap exactly when their
-    summed cost does. Returns the groups, each a chain of task ids in
-    order, listed in the topological order of their heads, and the
+    summed cost does. Returns the groups, each a chain of task indices
+    in order, listed in the topological order of their heads, and the
     residual edges as (group, group) index pairs.
     """
-    order = g.topo_order
-    pos = {tid: i for i, tid in enumerate(order)}
-    succ = [[pos[v] for v in g.successors[tid]] for tid in order]
-    pred = [[pos[u] for u in g.predecessors[tid]] for tid in order]
+    succ = [list(out) for out in g.succ]
+    pred = [list(into) for into in g.pred]
     for u, out in enumerate(succ):
         # Only an edge whose tail has several successors and whose head
         # several predecessors can be transitive; it is when its head is
@@ -371,8 +418,8 @@ def reduce_dag(g: ExecutionGraph) -> tuple[list[list[str]], list[tuple[int, int]
                 pred[v].remove(u)
 
     groups: list[list[int]] = []
-    group_of = [0] * len(order)
-    for i in range(len(order)):
+    group_of = [0] * len(succ)
+    for i in range(len(succ)):
         if len(pred[i]) == 1 and len(succ[pred[i][0]]) == 1:
             continue  # the tail of an edge contracted below
         chain = [i]
@@ -382,14 +429,14 @@ def reduce_dag(g: ExecutionGraph) -> tuple[list[list[str]], list[tuple[int, int]
             group_of[k] = len(groups)
         groups.append(chain)
     edges = [(gi, group_of[v]) for gi, chain in enumerate(groups) for v in succ[chain[-1]]]
-    return [[order[k] for k in chain] for chain in groups], edges
+    return groups, edges
 
 
 def decompose_reduced(
-    groups: Sequence[Sequence[str]], edges: Sequence[tuple[int, int]]
+    groups: Sequence[Sequence[int]], edges: Sequence[tuple[int, int]], n: int
 ) -> Decomposition | None:
-    """The decomposition of `reduce_dag`'s residual, or None when it is not
-    series-parallel.
+    """The decomposition of `_reduce_dag`'s residual on a graph of ``n``
+    tasks, or None when it is not series-parallel.
 
     Repeats two merges until neither applies: nodes with identical
     predecessor and successor sets become one parallel node, and a node
@@ -411,10 +458,10 @@ def decompose_reduced(
     sp: Decomposition = []
 
     def emit(x: int) -> int:
-        if len(items[x]) == 1 and type(items[x][0]) is int:
+        if len(items[x]) == 1 and items[x][0] >= n:
             return items[x][0]
         sp.append((SERIES, tuple(items[x])))
-        return len(sp) - 1
+        return n + len(sp) - 1
 
     def twins(x: int) -> list[int]:
         # x's twins are among the successors of any one of its
@@ -451,7 +498,7 @@ def decompose_reduced(
                 continue
             first = alike[0]
             sp.append((PARALLEL, tuple(emit(y) for y in alike)))
-            items[first] = [len(sp) - 1]
+            items[first] = [n + len(sp) - 1]
             for y in alike[1:]:
                 items[y] = None
                 for p in preds[y]:
@@ -726,7 +773,8 @@ def power_profile(
     runs at each instant.
 
     Start times must be explicit, and a segmented profile must complete
-    its task's work (WorkDeficitError otherwise). With ``min_interval``
+    its task's work (WorkDeficitError otherwise, for the first such task
+    in topological order, as `retime` names it). With ``min_interval``
     > 0, consecutive intervals are coalesced (duration-weighted, integral
     preserved) until each merged piece spans at least that long; numeric
     schedules produce sliver intervals where nearly simultaneous events
@@ -735,16 +783,25 @@ def power_profile(
     """
     if schedule.starts is None:
         raise ValueError("power profile needs explicit start times")
+    try:
+        profiles = by_index(g, schedule.profiles)
+    except KeyError as exc:
+        raise ValueError(f"schedule has no profile for task {exc.args[0]!r}") from None
+    try:
+        starts = by_index(g, schedule.starts)
+    except KeyError as exc:
+        raise ValueError(f"no start time for task {exc.args[0]!r}") from None
+    cost = g.cost
     deltas: dict[float, float] = {}
-    for tid, profile in schedule.profiles.items():
-        try:
-            clock = schedule.starts[tid]
-        except KeyError:
-            raise ValueError(f"no start time for task {tid!r}") from None
-        if isinstance(profile, ConstantSpeed):
-            parts = ((profile.speed, g.costs[tid] / profile.speed),)
+    segmented = []
+    for i in g.by_id:  # the order reports list tasks in, so replays sum alike
+        profile, clock = profiles[i], starts[i]
+        if type(profile) is float:
+            parts = ((profile, cost[i] / profile),)
+        elif isinstance(profile, ConstantSpeed):
+            parts = ((profile.speed, cost[i] / profile.speed),)
         else:
-            check_work(tid, profile, g.costs[tid])
+            segmented.append(i)
             parts = profile.parts
         for speed, duration in parts:
             if duration <= 0:
@@ -753,6 +810,8 @@ def power_profile(
             deltas[clock] = deltas.get(clock, 0.0) + power
             clock += duration
             deltas[clock] = deltas.get(clock, 0.0) - power
+    for i in sorted(segmented):
+        check_work(g.ids[i], profiles[i], cost[i])
 
     points = sorted(deltas)
     times: list[float] = [points[0]]

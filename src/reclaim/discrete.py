@@ -14,19 +14,20 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import BudgetExceededError, InfeasibleError, RangeError
 from .graph import (
     REL_TOL,
     ExecutionGraph,
+    IdMap,
     Schedule,
     SolveReport,
     Task,
     asap_times,
     build_execution_graph,
+    by_index,
     constant_schedule,
-    topological_order,
 )
 from .vdd import VddModel, check_modes, solve_vdd
 
@@ -95,7 +96,7 @@ class ExactSolution:
     the incumbent a `BudgetExceededError` carries.
     """
 
-    speeds: dict[str, float]
+    speeds: Mapping[str, float]
     energy: float
     makespan: float
     nodes: int
@@ -151,22 +152,15 @@ def solve_exact(
     ones the suffix walk gives.
     """
     speeds = admissible_speeds(model)
-    order = topological_order(g)
-    n = len(order)
-    cost = [g.costs[tid] for tid in order]
-    pos = {tid: i for i, tid in enumerate(order)}
-    preds: list[list[int]] = [[] for _ in range(n)]
-    succs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.edges:
-        preds[pos[v]].append(pos[u])
-        succs[pos[u]].append(pos[v])
+    n = len(g.ids)
+    cost, preds, succs = g.cost, g.pred, g.succ
     fastest = speeds[-1]
     slowest = speeds[0]
     limit = g.deadline * (1 + REL_TOL)
 
     # Root test: every task at the fastest mode.
-    _, finish = asap_times(g, {tid: g.costs[tid] / fastest for tid in order})
-    if max(finish.values()) > limit:
+    _, finish = asap_times(g, [c / fastest for c in cost])
+    if max(finish.array) > limit:
         raise InfeasibleError(
             f"even the fastest mode {fastest:g} misses deadline {g.deadline:g}"
         )
@@ -197,7 +191,7 @@ def solve_exact(
         if best_speeds is None:
             return None
         return ExactSolution(
-            speeds=dict(zip(order, best_speeds)),
+            speeds=IdMap(g, best_speeds),
             energy=best_energy,
             makespan=best_makespan,
             nodes=nodes,
@@ -286,19 +280,19 @@ def _approx(g: ExecutionGraph, grid: list[float], K: int, bound_factor: float, l
     # The ladder stops at its last rung within the top speed. When the
     # deadline needs more, the top speed closes it: still within a ratio
     # of 1 + 1/K of the rung below, so the bound and certificate hold.
-    _, completion = asap_times(g, {tid: g.costs[tid] / geo[-1] for tid in g.topo_order})
-    if max(completion.values()) > g.deadline and grid[-1] > geo[-1]:
+    _, completion = asap_times(g, [c / geo[-1] for c in g.cost])
+    if max(completion.array) > g.deadline and grid[-1] > geo[-1]:
         geo.append(grid[-1])
     _, vdd_report = solve_vdd(g, VddModel(tuple(geo)))
-    speeds: dict[str, float] = {}
-    for tid, avg in vdd_report.speeds.items():
+    speeds = []
+    for tid, avg in zip(g.ids, by_index(g, vdd_report.speeds)):
         snapped = _round_up(avg, grid)
         if snapped is None:
             raise InfeasibleError(
                 f"task {tid!r} needs average speed {avg:g}, above the top "
                 f"admissible speed {grid[-1]:g}"
             )
-        speeds[tid] = snapped
+        speeds.append(snapped)
     schedule, report = constant_schedule(
         g, speeds, {"vdd_energy": vdd_report.energy, "geometric_modes": geo, "K": K}
     )

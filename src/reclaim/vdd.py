@@ -17,16 +17,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import simplex
-from .continuous import reduce_dag
+from .continuous import _reduce_dag
 from .errors import InfeasibleError, LpInfeasibleError
 from .graph import (
     ExecutionGraph,
+    IdMap,
+    Profiles,
     Schedule,
     Segments,
     SolveReport,
-    Task,
     evaluate_schedule,
-    topological_order,
 )
 
 log = logging.getLogger("reclaim.vdd")
@@ -74,10 +74,9 @@ def build_lp(g: ExecutionGraph, model: VddModel) -> LpProblem:
     every task ends by the deadline, no task starts before a predecessor
     has finished, and every task's mode shares add up to its work.
     """
-    order = topological_order(g)
+    order = g.ids
     n = len(order)
     m = len(model.modes)
-    idx = {tid: i for i, tid in enumerate(order)}
     nvars = n * (m + 1)
 
     def alpha(i: int, j: int) -> int:
@@ -91,8 +90,7 @@ def build_lp(g: ExecutionGraph, model: VddModel) -> LpProblem:
     rhs: list[float] = []
     row_names: list[str] = []
 
-    for tid in order:
-        i = idx[tid]
+    for i, tid in enumerate(order):
         row = np.zeros(nvars)
         row[i] = 1.0
         row[alpha(i, 0) : alpha(i, m)] = 1.0
@@ -100,28 +98,27 @@ def build_lp(g: ExecutionGraph, model: VddModel) -> LpProblem:
         rhs.append(g.deadline)
         row_names.append(f"deadline[{tid}]")
 
-    for u, v in sorted(g.edges):
-        i, i2 = idx[u], idx[v]
-        row = np.zeros(nvars)
-        row[i] = 1.0
-        row[alpha(i, 0) : alpha(i, m)] = 1.0
-        row[i2] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-        row_names.append(f"prec[{u}->{v}]")
+    # Edges in id order: tails by id, and each tail's heads are in id order.
+    for i in g.by_id:
+        for i2 in g.succ[i]:
+            row = np.zeros(nvars)
+            row[i] = 1.0
+            row[alpha(i, 0) : alpha(i, m)] = 1.0
+            row[i2] = -1.0
+            rows.append(row)
+            rhs.append(0.0)
+            row_names.append(f"prec[{order[i]}->{order[i2]}]")
 
-    for tid in order:
-        i = idx[tid]
+    for i, tid in enumerate(order):
         row = np.zeros(nvars)
         for j, s in enumerate(model.modes):
             row[alpha(i, j)] = -s
         rows.append(row)
-        rhs.append(-g.costs[tid])
+        rhs.append(-g.cost[i])
         row_names.append(f"work[{tid}]")
 
     objective = np.zeros(nvars)
-    for tid in order:
-        i = idx[tid]
+    for i in range(n):
         for j, s in enumerate(model.modes):
             objective[alpha(i, j)] = s * s * s
 
@@ -170,14 +167,10 @@ def solve_vdd(g: ExecutionGraph, model: VddModel) -> tuple[Schedule, SolveReport
     report the solved LP's objective and variable count and the
     residual's task count.
     """
-    groups, residual = reduce_dag(g)
-    heads = [group[0] for group in groups]
-    work = {head: sum(g.costs[tid] for tid in group) for head, group in zip(heads, groups)}
-    reduced = ExecutionGraph(
-        tasks=tuple(Task(head, w) for head, w in work.items()),
-        edges=frozenset((heads[u], heads[v]) for u, v in residual),
-        deadline=g.deadline,
-    )
+    groups, residual = _reduce_dag(g)
+    work = [sum(g.cost[k] for k in group) for group in groups]
+    # Group gi is task gi of the residual graph, named after its head.
+    reduced = ExecutionGraph([g.ids[group[0]] for group in groups], work, residual, g.deadline)
     problem = build_lp(reduced, model)
     try:
         x, objective = solve_lp(problem)
@@ -186,22 +179,20 @@ def solve_vdd(g: ExecutionGraph, model: VddModel) -> tuple[Schedule, SolveReport
 
     n = len(groups)
     m = len(model.modes)
-    slot = {head: i for i, head in enumerate(reduced.topo_order)}
-    profiles: dict[str, Segments] = {}
-    starts: dict[str, float] = {}
-    for head, group in zip(heads, groups):
-        i = slot[head]
+    profiles: list = [None] * len(g.ids)
+    starts = [0.0] * len(g.ids)
+    for group, w, i in zip(groups, work, reduced.listed):
         shares = x[n + i * m : n + (i + 1) * m]
         used = [(s, float(a)) for s, a in zip(model.modes, shares) if a >= SEGMENT_DROP]
         if not used:  # cost > 0 forces work on every task
-            raise InfeasibleError(f"task {head!r} received no execution time")
+            raise InfeasibleError(f"task {g.ids[group[0]]!r} received no execution time")
         begin = float(x[i])
-        for tid in group:
-            scale = g.costs[tid] / work[head]
-            profiles[tid] = Segments(tuple((s, a * scale) for s, a in used))
-            starts[tid] = begin
-            begin += sum(d for _, d in profiles[tid].parts)
-    schedule = Schedule(profiles=profiles, starts=starts)
+        for k in group:
+            scale = g.cost[k] / w
+            profiles[k] = Segments(tuple((s, a * scale) for s, a in used))
+            starts[k] = begin
+            begin += sum(d for _, d in profiles[k].parts)
+    schedule = Schedule(profiles=Profiles(g, profiles), starts=IdMap(g, starts))
     log.info("vdd: objective %.12g over %d variables", objective, len(problem.var_names))
     diagnostics = {"objective": objective, "variables": len(problem.var_names), "reduced_tasks": n}
     return schedule, replace(evaluate_schedule(g, schedule), diagnostics=diagnostics)

@@ -208,6 +208,23 @@ def test_replays_reject_alike(capsys, example4_path, tmp_path, case):
     assert (profile_code, profile_err) == (code, err)
 
 
+def test_replays_name_the_same_deficit_task(capsys, example4_path, tmp_path):
+    # T3 is listed before T1 and both run 0.06 work units; both replays
+    # name T1, the first of the two in topological order.
+    short = {"segments": [[6.0, 0.01]]}
+    by_id = {entry["id"]: entry for entry in EXAMPLE4_SCHEDULE}
+    sched = [dict(by_id["T3"], profile=short), dict(by_id["T1"], profile=short),
+             by_id["T2"], by_id["T4"]]
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps(sched))
+    (code, _, err), (profile_code, _, profile_err) = [
+        run(capsys, command, example4_path, str(path)) for command in ("validate", "power-profile")
+    ]
+    assert code == 2
+    assert err.startswith("error: task 'T1':") and err.count("\n") == 1
+    assert (profile_code, profile_err) == (code, err)
+
+
 def test_compare_table(capsys, example4_path):
     payload = run_json(
         capsys,

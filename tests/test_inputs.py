@@ -188,6 +188,43 @@ def test_malformed_schedule_exits_1(capsys, example4_path, tmp_path, command, ca
     assert_input_error(code, out, err, message)
 
 
+# Fields of the right JSON type whose value does not convert: each reader
+# names the entry and the field, not Python's conversion message.
+UNCONVERTIBLE = {
+    "cost-text": (
+        "instance", _set(["tasks", 1, "cost"], "abc"), "tasks[1]: 'cost' must be a number, got 'abc'",
+    ),
+    "processor-text": (
+        "instance", _set(["allocation", 1, "processor"], "x"),
+        "allocation[1]: 'processor' must be an integer, got 'x'",
+    ),
+    "constant-text": (
+        "schedule", _set([1, "profile", "constant"], "fast"),
+        "schedule[1]: 'constant' must be a number, got 'fast'",
+    ),
+    "start-text": ("schedule", _set([2, "start"], "x"), "schedule[2]: 'start' must be a number, got 'x'"),
+    "segment-triple": (
+        "schedule", _set([1, "profile"], {"segments": [[6.0, 0.5, 1]]}),
+        "schedule[1]: 'segments' must be a list of [speed, duration] pairs, got [[6.0, 0.5, 1]]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNCONVERTIBLE))
+def test_unconvertible_field_is_named(capsys, example4_path, tmp_path, case):
+    kind, mutate, message = UNCONVERTIBLE[case]
+    path = tmp_path / f"{kind}.json"
+    if kind == "instance":
+        path.write_text(json.dumps(mutate(EXAMPLE4)))
+        runs = [["solve", str(path), "--model", "continuous"]]
+    else:
+        path.write_text(json.dumps(mutate(SCHEDULE)))
+        runs = [[command, example4_path, str(path)] for command in ("validate", "power-profile")]
+    for argv in runs:
+        code, out, err = run(capsys, *argv)
+        assert_input_error(code, out, err, message)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["solve", "--model", "vdd", "--modes", "2,fast"], "cannot parse mode list '2,fast'"),
     (["solve", "--model", "vdd", "--modes", ","], "mode list must not be empty"),
