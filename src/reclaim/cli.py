@@ -266,7 +266,9 @@ def _solve(g: ExecutionGraph, args, model: str) -> tuple[str | None, Schedule, S
                 fh.write(format_lp(build_lp(g, vdd_model)))
         return None, *solve_vdd(g, vdd_model)
     solution = disc.solve_exact(g, _finite_model(args, model), node_budget=args.node_budget)
-    counters = ("nodes", "pruned_deadline", "pruned_energy", "proven_optimal")
+    counters = (
+        "nodes", "pruned_deadline", "pruned_energy", "proven_optimal", "pruned_state",
+    )
     diagnostics = {key: getattr(solution, key) for key in counters}
     return None, *constant_schedule(g, solution.speeds, diagnostics)
 
@@ -420,6 +422,8 @@ def cmd_gen2p(args) -> int:
     if args.values is not None:
         values = args.values
     else:
+        if args.max_value < 1:
+            raise ValueError(f"--max-value must be >= 1, got {args.max_value}")
         rng = random.Random(args.seed)
         values = [rng.randint(1, args.max_value) for _ in range(args.n)]
     graph, model, bound = disc.gen_2partition(values)

@@ -14,6 +14,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Mapping, Sequence, Union
 
 from .errors import BudgetExceededError, InfeasibleError, RangeError
@@ -34,6 +35,9 @@ from .vdd import VddModel, check_modes, solve_vdd
 log = logging.getLogger("reclaim.discrete")
 
 DEFAULT_NODE_BUDGET = 10_000_000
+# The most search states one `solve_exact` call records (see its
+# docstring): about 90 bytes each on a chain, 5.7 MB when full.
+STATE_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -91,9 +95,9 @@ def admissible_speeds(model: SpeedModel) -> list[float]:
 class ExactSolution:
     """An assignment from `solve_exact`.
 
-    `nodes` counts the modes tried; `pruned_deadline` and `pruned_energy`
-    count the tries cut by each bound. `proven_optimal` is False only on
-    the incumbent a `BudgetExceededError` carries.
+    `nodes` counts the modes tried; `pruned_deadline`, `pruned_energy`
+    and `pruned_state` count the tries cut by each rule. `proven_optimal`
+    is False only on the incumbent a `BudgetExceededError` carries.
     """
 
     speeds: Mapping[str, float]
@@ -102,6 +106,7 @@ class ExactSolution:
     nodes: int
     pruned_deadline: int
     pruned_energy: int
+    pruned_state: int
     proven_optimal: bool
 
 
@@ -115,6 +120,20 @@ def _latest_start(bound: float, duration: float) -> float:
     return t
 
 
+def _state_readers(succs: Sequence[Sequence[int]]) -> list:
+    """Per task i, a function of the completion list that returns the
+    search state once tasks 0..i are fixed: the completions of the fixed
+    tasks with a successor after i, in index order. One such task gives
+    the bare float, several a tuple, none the empty tuple."""
+    last = [max(after, default=-1) for after in succs]
+    readers = []
+    open_: tuple[int, ...] = ()
+    for i in range(len(succs)):
+        open_ = tuple(j for j in (*open_, i) if last[j] > i)
+        readers.append(itemgetter(*open_) if open_ else lambda _: ())
+    return readers
+
+
 def solve_exact(
     g: ExecutionGraph, model: SpeedModel, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> ExactSolution:
@@ -122,8 +141,9 @@ def solve_exact(
 
     Tasks are fixed in topological order and speeds tried ascending, so
     the first optimum reached is the lexicographically smallest one; the
-    ties-included pruning rule then keeps exactly that incumbent. Every
-    mode tried counts as one node.
+    ties-included pruning rules then keep exactly that incumbent. Every
+    mode tried counts as one node, and `node_budget` (at least 1) caps
+    them.
 
     Energy bound: a branch dies when its energy plus the suffix's floor
     (all remaining work at the slowest mode) cannot beat the incumbent;
@@ -138,19 +158,30 @@ def solve_exact(
     a forward pass sums it, still ends within the deadline. A node
     compares its completion with `latest[i]` and nothing else. The plain
     sum `completion + tail` rounds differently and, with the deadline on
-    the feasibility edge, can reject the only schedules that fit.
+    the feasibility edge, can reject the only schedules that fit. The
+    test prunes exactly what a forward walk of the whole unfixed suffix
+    at the fastest mode would: a path through task i starts from i's
+    completion, which already includes every fixed predecessor, and a
+    path from an earlier fixed task through unfixed ones passed that
+    task's own test, since nothing on it has moved.
 
-    The test prunes exactly what a forward walk of the whole unfixed
-    suffix at the fastest mode prunes. A path that starts at an earlier
-    fixed task and runs only through unfixed tasks passed that task's own
-    test when it was fixed: its completion has not moved since, and the
-    path's tasks were unfixed then too. A path through task i starts from
-    i's completion, which already includes every fixed predecessor. Paths
-    from unfixed sources are covered by the root test. Because the sums
-    match the forward walk bit for bit, the node counts, the optimum, its
-    tie-break and the point where `BudgetExceededError` fires are the
-    ones the suffix walk gives.
+    State rule: once tasks 0..i are fixed, everything after them depends
+    only on the state, the completions of the fixed tasks that still
+    have an unfixed successor (on a chain, one float). The search records
+    the lowest energy that has reached each state, and a try that
+    reaches a recorded state at no lower energy is cut. The branch that
+    recorded it came first in lexicographic order and its subtree is
+    done, and float addition is monotone, so the cut branch could at
+    best tie an assignment already searched: the optimum, its tie-break
+    and its makespan are those of the search without the rule. The rule
+    changes the counters only. Integer costs reach few distinct
+    completions, so on the 2-Partition chains the state count, and with
+    it the search, is pseudo-polynomial. At most `STATE_LIMIT` states
+    are recorded; past that, new states go unrecorded and the search
+    runs on as it would without them.
     """
+    if node_budget < 1:
+        raise ValueError(f"node budget must be at least 1, got {node_budget}")
     speeds = admissible_speeds(model)
     n = len(g.ids)
     cost, preds, succs = g.cost, g.pred, g.succ
@@ -179,13 +210,17 @@ def solve_exact(
     table = [
         [(s, cost[i] * s * s, cost[i] / s) for s in speeds] for i in range(n)
     ]
+    state_of = _state_readers(succs)
+    # seen[i]: lowest energy recorded per state once tasks 0..i are fixed.
+    seen: list[dict] = [{} for _ in range(n)]
+    room = STATE_LIMIT
 
     best_energy = math.inf
     best_speeds: list[float] | None = None
     best_makespan = 0.0
     chosen = [0.0] * n
     completion = [0.0] * n
-    nodes = pruned_deadline = pruned_energy = 0
+    nodes = pruned_deadline = pruned_energy = pruned_state = 0
 
     def pack(proven_optimal: bool) -> ExactSolution | None:
         if best_speeds is None:
@@ -197,11 +232,12 @@ def solve_exact(
             nodes=nodes,
             pruned_deadline=pruned_deadline,
             pruned_energy=pruned_energy,
+            pruned_state=pruned_state,
             proven_optimal=proven_optimal,
         )
 
     def descend(i: int, energy: float) -> None:
-        nonlocal nodes, pruned_deadline, pruned_energy
+        nonlocal nodes, pruned_deadline, pruned_energy, pruned_state, room
         nonlocal best_energy, best_speeds, best_makespan
         if i == n:
             # Bounds guarantee feasibility and strict improvement here.
@@ -209,7 +245,12 @@ def solve_exact(
             best_speeds = chosen.copy()
             best_makespan = max(completion)
             return
-        begin = max((completion[p] for p in preds[i]), default=0.0)
+        begin = 0.0
+        for p in preds[i]:
+            if completion[p] > begin:
+                begin = completion[p]
+        bound = latest[i]
+        state, recorded = state_of[i], seen[i]
         for s, work, duration in table[i]:
             nodes += 1
             if nodes > node_budget:
@@ -228,9 +269,20 @@ def solve_exact(
                 pruned_energy += 1
                 break  # faster modes only cost more
             completion[i] = begin + duration
-            if completion[i] > latest[i]:
+            if completion[i] > bound:
                 pruned_deadline += 1
                 continue  # a faster mode may still fit
+            key = state(completion)
+            known = recorded.get(key)
+            if known is None:
+                if room:
+                    recorded[key] = extended
+                    room -= 1
+            elif extended >= known:
+                pruned_state += 1
+                continue  # a faster mode reaches another state
+            else:
+                recorded[key] = extended
             chosen[i] = s
             descend(i + 1, extended)
 

@@ -88,18 +88,24 @@ def brute_force_exact(order, costs, edges, deadline, speeds, rel_tol=1e-9):
     return best, best_combo
 
 
-def suffix_walk_search(order, costs, edges, deadline, speeds, budget, rel_tol=1e-9):
+def suffix_walk_search(order, costs, edges, deadline, speeds, budget, rel_tol=1e-9,
+                       state_limit=math.inf):
     """The exact search with a deadline test that walks the whole unfixed
     suffix at the fastest speed at every node.
 
     Fixes tasks in `order`, tries speeds ascending and prunes on energy
-    (incumbent versus all remaining work at the slowest speed) and on the
-    deadline, with the same floating-point operations in the same order
-    as the package's search, so its node and prune counts must match.
-    Returns None when even the fastest speed misses the deadline, else a
-    dict with `energy`, `speeds` (None without an incumbent), `nodes`,
-    `pruned_deadline`, `pruned_energy` and `budget_hit`, the last true
-    when node `budget + 1` was reached.
+    (incumbent versus all remaining work at the slowest speed), on the
+    deadline and on repeated states, with the same floating-point
+    operations in the same order as the package's search, so its node
+    and prune counts must match. A state is the depth plus the
+    completions of the fixed tasks that an edge leads from to an unfixed
+    task, found by scanning the edge list at every node; a try whose
+    state was reached before at no higher energy is cut. At most
+    `state_limit` states are recorded, the first ones met. Returns None
+    when even the fastest speed misses the deadline, else a dict with
+    `energy`, `speeds` (None without an incumbent), `nodes`,
+    `pruned_deadline`, `pruned_energy`, `pruned_state` and `budget_hit`,
+    the last true when node `budget + 1` was reached.
     """
     speeds = sorted(speeds)
     n = len(order)
@@ -118,14 +124,19 @@ def suffix_walk_search(order, costs, edges, deadline, speeds, budget, rel_tol=1e
             done[j] = max((done[p] for p in preds[j]), default=0.0) + cost[j] / fastest
         return max(done, default=0.0)
 
+    def state(i):
+        fixed = sorted({pos[u] for u, v in edges if pos[u] <= i < pos[v]})
+        return i, tuple(completion[j] for j in fixed)
+
     if walk(-1) > limit:
         return None
     floor = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
         floor[i] = floor[i + 1] + cost[i] * slowest * slowest
-    out = {"energy": math.inf, "speeds": None, "nodes": 0,
-           "pruned_deadline": 0, "pruned_energy": 0, "budget_hit": False}
+    out = {"energy": math.inf, "speeds": None, "nodes": 0, "pruned_deadline": 0,
+           "pruned_energy": 0, "pruned_state": 0, "budget_hit": False}
     chosen = [0.0] * n
+    lowest = {}
 
     def descend(i, energy):
         if i == n:
@@ -144,6 +155,12 @@ def suffix_walk_search(order, costs, edges, deadline, speeds, budget, rel_tol=1e
             if walk(i) > limit:
                 out["pruned_deadline"] += 1
                 continue
+            key = state(i)
+            if key in lowest and lowest[key] <= extended:
+                out["pruned_state"] += 1
+                continue
+            if key in lowest or len(lowest) < state_limit:
+                lowest[key] = extended
             chosen[i] = s
             if not descend(i + 1, extended):
                 return False

@@ -73,6 +73,7 @@ def test_solve_discrete_and_incremental(capsys, example4_path):
     assert payload["energy"] == 128.0
     assert payload["diagnostics"] == {
         "nodes": 14, "pruned_deadline": 5, "pruned_energy": 4, "proven_optimal": True,
+        "pruned_state": 0,
     }
 
 

@@ -2,11 +2,13 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
 import reclaim as rc
 import support
+from reclaim import discrete
 
 
 def test_discrete_model_validation():
@@ -231,21 +233,21 @@ def test_exact_solution_reports_search_size(example4):
 @pytest.mark.parametrize(
     "make, nodes",
     [
-        (lambda g: (g, rc.DiscreteModel((2.0, 5.0, 6.0))), 32),
+        (lambda g: (g, rc.DiscreteModel((2.0, 5.0, 6.0))), 28),
         (lambda g: (g, rc.IncrementalModel(2.0, 6.0, 2.0)), 14),
-        (lambda g: rc.gen_2partition([1, 2, 3, 4])[:2], 26),
+        (lambda g: rc.gen_2partition([1, 2, 3, 4])[:2], 24),
         (
             lambda g: rc.gen_2partition(
                 [20, 9, 24, 12, 26, 23, 27, 24, 21, 30, 17, 1, 27, 15]
             )[:2],
-            10752,
+            1080,
         ),
     ],
     ids=["example4-discrete", "example4-incremental", "2partition-4", "2partition-14"],
 )
 def test_exact_node_counts_are_pinned(example4, make, nodes):
-    # The search visits the same nodes as the original suffix-walk
-    # deadline test; a changed count means a bound changed.
+    # The counts `support.suffix_walk_search` gives on these instances; a
+    # changed count means a pruning rule changed.
     g, model = make(example4)
     assert rc.solve_exact(g, model).nodes == nodes
 
@@ -298,12 +300,45 @@ def test_exact_matches_brute_force_at_the_feasibility_edge(build):
             rc.solve_exact(g, model)
 
 
-def test_exact_search_prunes_like_the_suffix_walk(build):
-    # The constant-time deadline test must make every decision a walk of
-    # the whole unfixed suffix makes: same optimum, nodes, prunes and
-    # budget point, on deadlines at, on and below the feasibility edge.
+def _assert_like_suffix_walk(g, tasks, model, budget):
+    """Solve and compare with `support.suffix_walk_search` at the same
+    state limit; returns the number of state prunes."""
+    ref = support.suffix_walk_search(
+        rc.topological_order(g), dict(tasks), g.edges, g.deadline,
+        rc.admissible_speeds(model), budget, state_limit=discrete.STATE_LIMIT,
+    )
+    if ref is None:
+        with pytest.raises(rc.InfeasibleError):
+            rc.solve_exact(g, model, node_budget=budget)
+        return 0
+    if ref["budget_hit"]:
+        with pytest.raises(rc.BudgetExceededError) as info:
+            rc.solve_exact(g, model, node_budget=budget)
+        assert info.value.nodes == ref["nodes"]
+        sol = info.value.best
+        if ref["speeds"] is None:
+            assert sol is None
+            return 0
+    else:
+        sol = rc.solve_exact(g, model, node_budget=budget)
+    assert sol.speeds == ref["speeds"]
+    assert sol.energy == ref["energy"]
+    assert (sol.nodes, sol.pruned_deadline, sol.pruned_energy, sol.pruned_state) == (
+        ref["nodes"], ref["pruned_deadline"], ref["pruned_energy"], ref["pruned_state"]
+    )
+    return sol.pruned_state
+
+
+def test_exact_search_prunes_like_the_suffix_walk(build, monkeypatch):
+    # The constant-time deadline test and the state table must make every
+    # decision a walk of the whole unfixed suffix and a scan of the edge
+    # list make: same optimum, nodes, prunes and budget point, on
+    # deadlines at, on and below the feasibility edge, with the table at
+    # its limit, off, and full after a few states.
     rng = random.Random(101)
+    default = discrete.STATE_LIMIT
     for trial in range(150):
+        monkeypatch.setattr(discrete, "STATE_LIMIT", (default, 0, 1 + trial % 7)[trial % 3])
         n = rng.randint(1, 9)
         tasks, prec, alloc = support.random_instance(rng, n, n_proc=rng.randint(1, 3))
         edges = support.all_edges(prec, alloc)
@@ -322,25 +357,78 @@ def test_exact_search_prunes_like_the_suffix_walk(build):
         )
         budget = rng.choice([10**6, rng.randint(1, 100)])
         g = build(tasks, prec, [q for _, q in alloc], deadline)
-        ref = support.suffix_walk_search(
-            rc.topological_order(g), dict(tasks), g.edges, deadline, speeds, budget
+        _assert_like_suffix_walk(g, tasks, model, budget)
+
+
+def test_state_rule_prunes_like_the_suffix_walk(build, monkeypatch):
+    # Integer costs and speeds on halves, where completions repeat and
+    # the state rule fires: the same comparison as above.
+    rng = random.Random(107)
+    default = discrete.STATE_LIMIT
+    fired = 0
+    for trial in range(150):
+        monkeypatch.setattr(discrete, "STATE_LIMIT", (default, 0, 1 + trial % 7)[trial % 3])
+        n = rng.randint(5, 11)
+        tasks, prec, alloc = support.random_instance(
+            rng, n, n_proc=rng.randint(1, 3), cost_range=(1.0, 6.0)
         )
-        if ref is None:
-            with pytest.raises(rc.InfeasibleError):
-                rc.solve_exact(g, model, node_budget=budget)
-            continue
-        if ref["budget_hit"]:
-            with pytest.raises(rc.BudgetExceededError) as info:
-                rc.solve_exact(g, model, node_budget=budget)
-            assert info.value.nodes == ref["nodes"]
-            sol = info.value.best
-            if ref["speeds"] is None:
-                assert sol is None
-                continue
-        else:
-            sol = rc.solve_exact(g, model, node_budget=budget)
-        assert sol.speeds == ref["speeds"]
-        assert sol.energy == ref["energy"]
-        assert (sol.nodes, sol.pruned_deadline, sol.pruned_energy) == (
-            ref["nodes"], ref["pruned_deadline"], ref["pruned_energy"]
+        tasks = [(tid, float(round(cost))) for tid, cost in tasks]
+        edges = support.all_edges(prec, alloc)
+        speeds = sorted(rng.sample([1.0, 1.5, 2.0, 3.0, 4.0], rng.randint(2, 3)))
+        deadline = support.pick_deadline(rng, tasks, edges, speeds[-1], (1.0, 1.5))
+        budget = rng.choice([10**6, rng.randint(1, 1000)])
+        g = build(tasks, prec, [q for _, q in alloc], deadline)
+        fired += _assert_like_suffix_walk(g, tasks, rc.DiscreteModel(tuple(speeds)), budget) > 0
+    assert fired >= 25
+
+
+def test_state_table_changes_no_answer(build, monkeypatch):
+    # The state rule cuts only branches that could at best tie an
+    # assignment already searched, so the table off (limit 0) and at its
+    # limit give the same answer. Half the instances have integer costs,
+    # where completions repeat and the rule fires most.
+    rng = random.Random(103)
+    default = discrete.STATE_LIMIT
+    fewer = 0
+    for trial in range(320):
+        n = rng.randint(4, 12)
+        tasks, prec, alloc = support.random_instance(
+            rng, n, n_proc=rng.randint(1, 3), cost_range=(1.0, 6.0)
         )
+        if trial % 2:
+            tasks = [(tid, float(round(cost))) for tid, cost in tasks]
+        edges = support.all_edges(prec, alloc)
+        speeds = sorted(rng.sample([1.0, 1.5, 2.0, 3.0, 4.0], rng.randint(2, 3)))
+        deadline = support.pick_deadline(rng, tasks, edges, speeds[-1], (1.0, 1.5))
+        g = build(tasks, prec, [q for _, q in alloc], deadline)
+        solved = []
+        for limit in (default, 0):
+            monkeypatch.setattr(discrete, "STATE_LIMIT", limit)
+            solved.append(rc.solve_exact(g, rc.DiscreteModel(tuple(speeds))))
+        table, plain = solved
+        assert plain.pruned_state == 0
+        assert dict(table.speeds) == dict(plain.speeds)
+        assert (table.energy, table.makespan) == (plain.energy, plain.makespan)
+        assert table.nodes <= plain.nodes
+        fewer += table.nodes < plain.nodes
+    assert fewer >= 100
+
+
+def test_state_table_stays_bounded():
+    # On float costs no state repeats, so the table fills to its limit;
+    # past that the search runs on without it and memory stays flat.
+    rng = random.Random(5)
+    costs = [rng.uniform(1.0, 30.0) for _ in range(24)]
+    ids = [f"T{k + 1}" for k in range(24)]
+    g = rc.build_execution_graph(
+        [rc.Task(tid, cost) for tid, cost in zip(ids, costs)], [], [ids], 0.75 * sum(costs)
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(rc.BudgetExceededError) as info:
+            rc.solve_exact(g, rc.DiscreteModel((1.0, 2.0)), node_budget=3_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.best is not None
+    assert peak < 8 * 2**20

@@ -68,6 +68,15 @@ PARAMETERS = {
         ["approx", "--model", "discrete", "--modes", "2,inf", "--K", "2"],
         "modes must be positive and finite",
     ),
+    "discrete-node-budget-0": (
+        ["solve", "--model", "discrete", "--modes", "2,5,6", "--node-budget", "0"],
+        "node budget must be at least 1, got 0",
+    ),
+    "incremental-node-budget-negative": (
+        ["solve", "--model", "incremental", "--smin", "2", "--smax", "6", "--delta", "2",
+         "--node-budget", "-5"],
+        "node budget must be at least 1, got -5",
+    ),
     "approx-incremental-infinite-top": (
         ["approx", "--model", "incremental", "--smin", "2", "--smax", "inf", "--delta", "1",
          "--K", "2"],
@@ -237,3 +246,8 @@ def test_unparsable_list_options_exit_1(capsys, example4_path, argv, message):
     assert code == 1
     assert out == ""
     assert message in err
+
+
+def test_gen2p_max_value_below_1_exits_1(capsys):
+    code, out, err = run(capsys, "gen2p", "--max-value", "0")
+    assert_input_error(code, out, err, "--max-value must be >= 1, got 0")
